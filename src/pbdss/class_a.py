@@ -165,6 +165,8 @@ class ClassASpec:
         _check_params(self.n_a, self.k, self.tau)
         if len(self.alpha) != self.k or any(len(r) != self.n_a - self.k for r in self.alpha):
             raise ValueError("alpha must be k x (n_a - k)")
+        if any(not 0 <= v < self.field.q for r in self.alpha for v in r):
+            raise ValueError(f"alpha entries must be elements of {self.field}")
 
     @classmethod
     def build(

@@ -57,6 +57,8 @@ class ClassBSpec:
             for par in node:
                 if len(set(par)) != len(par):
                     raise ValueError("duplicate position inside one parity")
+                if any(len(pos) != 2 or not all(0 <= x < self.k for x in pos) for pos in par):
+                    raise ValueError(f"parity position outside the {self.k} x {self.k} data array")
 
     @property
     def n(self) -> int:

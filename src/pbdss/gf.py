@@ -8,12 +8,20 @@ polynomial of degree m over GF(p); addition is digit-wise mod p.
 
 Fields are capped at q <= 2**16 so elements fit in 16-bit storage and
 exhaustive checks (irreducibility, field axioms in tests) stay cheap.
+
+A field's exp/log and dense tables are a pure function of (p, m, reduction),
+so they are built once per field and shared, read-only, by every FieldSpec
+of that field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 MAX_FIELD_ORDER = 1 << 16
 
@@ -119,6 +127,7 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=64)
 def default_reduction(p: int, m: int) -> tuple[int, ...]:
     """Smallest irreducible monic polynomial of degree m over GF(p).
 
@@ -135,6 +144,97 @@ def default_reduction(p: int, m: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
+class _Tables(NamedTuple):
+    generator: int  # smallest element of order q - 1
+    exp: tuple[int, ...]  # g**i for 0 <= i < 2(q - 1): log sums index it unreduced
+    log: tuple[int, ...]  # inverse of exp on nonzero elements; log[0] is unused
+
+
+def _mul_matrix(c: int, p: int, m: int, x_mat: np.ndarray) -> np.ndarray:
+    """Matrix of "multiply by c" on little-endian digit rows: digits(a) @ M = digits(a*c).
+
+    Row i holds the digits of c * x**i; x_mat is the same matrix for c = x.
+    """
+    rows = [np.array([(c // p**i) % p for i in range(m)], dtype=np.int64)]
+    for _ in range(1, m):
+        rows.append(rows[-1] @ x_mat % p)
+    return np.stack(rows)
+
+
+def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    result = np.eye(len(a), dtype=np.int64)
+    while e:
+        if e & 1:
+            result = result @ a % p
+        a = a @ a % p
+        e >>= 1
+    return result
+
+
+@functools.lru_cache(maxsize=64)
+def _field_tables(p: int, m: int, reduction: tuple[int, ...]) -> _Tables:
+    """Generator and exp/log tables of GF(p^m), built in O(q) vectorised steps.
+
+    Multiplying by an element is GF(p)-linear on digit vectors, so the
+    powers of the generator follow from about log2(q) doublings: append
+    `powers @ M % p` to `powers`, then square M.  A reducible polynomial
+    raises here, and lru_cache never stores an exception.
+    """
+    if m > 1 and not is_irreducible(list(reduction), p):
+        raise ValueError(f"reduction polynomial {reduction} is reducible over GF({p})")
+    q = p**m
+    x_mat = np.zeros((m, m), dtype=np.int64)
+    x_mat[:-1, 1:] = np.eye(m - 1, dtype=np.int64)
+    if m > 1:
+        x_mat[-1] = [(-c) % p for c in reduction[:m]]
+    one = np.eye(m, dtype=np.int64)
+    orders = [(q - 1) // r for r in _prime_factors(q - 1)]
+    gen = 1  # GF(2) has no other candidate
+    for c in range(2, q):
+        mul_c = _mul_matrix(c, p, m, x_mat)
+        if not any(np.array_equal(_mat_pow(mul_c, e, p), one) for e in orders):
+            gen = c
+            break
+    powers = one[:1]
+    step = _mul_matrix(gen, p, m, x_mat)
+    while len(powers) < q - 1:
+        powers = np.concatenate([powers, powers @ step % p])
+        step = step @ step % p
+    exp = powers[: q - 1] @ p ** np.arange(m, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    exp_list = exp.tolist()
+    return _Tables(gen, tuple(exp_list + exp_list), tuple(log.tolist()))
+
+
+@functools.lru_cache(maxsize=16)
+def _dense_tables(p: int, m: int, reduction: tuple[int, ...]):
+    """Read-only int32 (add, sub, mul, inv) tables by broadcasting exp/log."""
+    q = p**m
+    tables = _field_tables(p, m, reduction)
+    exp = np.array(tables.exp, dtype=np.int32)
+    log = np.array(tables.log, dtype=np.int32)
+    mul = exp[log[:, None] + log[None, :]]
+    mul[0, :] = 0
+    mul[:, 0] = 0
+    inv = exp[q - 1 - log]
+    inv[0] = 0
+    elems = np.arange(q, dtype=np.int32)
+    if p == 2:
+        add = sub = elems[:, None] ^ elems[None, :]
+    else:  # digit-wise mod p; a single digit when m == 1
+        add = np.zeros((q, q), dtype=np.int32)
+        sub = np.zeros((q, q), dtype=np.int32)
+        for i in range(m):
+            d = elems // p**i % p
+            add += (d[:, None] + d[None, :]) % p * p**i
+            sub += (d[:, None] - d[None, :]) % p * p**i
+    out = (add, sub, mul, inv)
+    for t in out:
+        t.flags.writeable = False
+    return out
+
+
 class FieldSpec:
     """A finite field GF(p^m) with q = p^m <= 2**16.
 
@@ -143,6 +243,9 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, m: int = 1, reduction: tuple[int, ...] | None = None):
+        # checked before p**m and the prime test; any p >= 2 puts m > 16 past the cap
+        if p > MAX_FIELD_ORDER or m > 16:
+            raise ValueError(f"field order {p}^{m} exceeds {MAX_FIELD_ORDER}")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if m < 1:
@@ -153,16 +256,13 @@ class FieldSpec:
         if reduction is None:
             reduction = default_reduction(p, m)
         reduction = tuple(c % p for c in reduction)
-        if m > 1:
-            if len(reduction) != m + 1 or reduction[-1] != 1:
-                raise ValueError("reduction must be monic of degree m")
-            if not is_irreducible(list(reduction), p):
-                raise ValueError(f"reduction polynomial {reduction} is reducible over GF({p})")
+        if m > 1 and (len(reduction) != m + 1 or reduction[-1] != 1):
+            raise ValueError("reduction must be monic of degree m")
         self.p = p
         self.m = m
         self.q = q
         self.reduction = reduction
-        self._build_log_tables()
+        self.generator, self._exp, self._log = _field_tables(p, m, reduction)
         self._dense = None
 
     # -- representation -----------------------------------------------------
@@ -190,43 +290,6 @@ class FieldSpec:
 
     def _undigits(self, ds: list[int]) -> int:
         return sum(d * self.p**i for i, d in enumerate(ds))
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        prod = _poly_mulmod(self._digits(a), self._digits(b), list(self.reduction), self.p)
-        return self._undigits(prod + [0] * (self.m - len(prod)))
-
-    def _build_log_tables(self) -> None:
-        q = self.q
-        factors = _prime_factors(q - 1)
-        gen = None
-        for cand in range(2, q):
-            if all(self._pow_raw(cand, (q - 1) // r) != 1 for r in factors):
-                gen = cand
-                break
-        if gen is None:  # q == 2
-            gen = 1
-        exp = [0] * (2 * (q - 1))
-        log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            exp[i + q - 1] = x
-            log[x] = i
-            x = self._raw_mul(x, gen)
-        self.generator = gen
-        self._exp = exp
-        self._log = log
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return r
 
     # -- element arithmetic on canonical integers ---------------------------
 
@@ -281,26 +344,13 @@ class FieldSpec:
     def dense_tables(self):
         """(add, sub, mul, inv) numpy tables for vectorised elimination.
 
-        Built lazily; only sensible for small fields, so capped at q <= 1024.
+        Built on first use and shared, read-only, by every FieldSpec of the
+        field; capped at q <= 1024 because each table holds q**2 entries.
         """
         if self._dense is None:
-            import numpy as np
-
-            q = self.q
-            if q > 1024:
-                raise ValueError(f"dense tables capped at q <= 1024, got {q}")
-            add = np.zeros((q, q), dtype=np.int32)
-            sub = np.zeros((q, q), dtype=np.int32)
-            mul = np.zeros((q, q), dtype=np.int32)
-            inv = np.zeros(q, dtype=np.int32)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    sub[a, b] = self.sub(a, b)
-                    mul[a, b] = self.mul(a, b)
-                if a:
-                    inv[a] = self.inv(a)
-            self._dense = (add, sub, mul, inv)
+            if self.q > 1024:
+                raise ValueError(f"dense tables capped at q <= 1024, got {self.q}")
+            self._dense = _dense_tables(self.p, self.m, self.reduction)
         return self._dense
 
 
@@ -432,8 +482,6 @@ def solve_values(field: FieldSpec, a_rows: list[list[int]], b: list[int]) -> Sol
 def solve_values_dense(field: FieldSpec, a_rows: list[list[int]], b: list[int]) -> SolveResult:
     """solve_values on numpy lookup tables; same semantics, much faster on
     large systems over small fields."""
-    import numpy as np
-
     if len(a_rows) != len(b):
         raise ValueError("matrix/vector size mismatch")
     ncols = len(a_rows[0]) if a_rows else 0

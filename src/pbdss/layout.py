@@ -165,17 +165,31 @@ def write_code_array(array: CodeArray) -> bytes:
     return head + body + bytes(mask)
 
 
+def _need(blob: bytes, off: int, size: int, part: str) -> None:
+    if len(blob) < off + size:
+        raise ValueError(
+            f"truncated PBDSS1 array: {part} needs bytes {off}..{off + size}, file has {len(blob)}"
+        )
+
+
 def read_code_array(blob: bytes) -> CodeArray:
     if blob[:6] != ARRAY_MAGIC:
         raise ValueError("bad magic: not a PBDSS1 array")
-    k, n, p, m, red_len = struct.unpack_from("<5H", blob, 6)
-    off = 6 + 10
+    off = len(ARRAY_MAGIC)
+    _need(blob, off, 10, "header")
+    k, n, p, m, red_len = struct.unpack_from("<5H", blob, off)
+    off += 10
+    _need(blob, off, 2 * red_len, "reduction polynomial")
     reduction = struct.unpack_from(f"<{red_len}H", blob, off)
     off += 2 * red_len
     field = FieldSpec(p, m, reduction if m > 1 else None)
+    _need(blob, off, 2 * k * n, "symbols")
     flat = struct.unpack_from(f"<{k * n}H", blob, off)
     off += 2 * k * n
+    if flat and max(flat) >= field.q:
+        raise ValueError(f"symbol value {max(flat)} out of range for {field}")
     rows = [list(flat[i * n : (i + 1) * n]) for i in range(k)]
+    _need(blob, off, (k * n + 7) // 8, "erasure mask")
     mask_bytes = blob[off : off + (k * n + 7) // 8]
     erased = [[False] * n for _ in range(k)]
     for idx in range(k * n):

@@ -133,7 +133,10 @@ class CodeSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CodeSpec":
+        _check_json(d, _SPEC_SCHEMA, "")
         fd = d["field"]
+        if fd["m"] > 1:
+            _check_json(fd, {"reduction": [int]}, "field")
         field = FieldSpec(fd["p"], fd["m"], tuple(fd["reduction"]) if fd["m"] > 1 else None)
         k = d["k"]
         spec_a = ClassASpec.from_json_dict(d["classA"], field, k)
@@ -143,6 +146,35 @@ class CodeSpec:
     @classmethod
     def from_json(cls, text: str) -> "CodeSpec":
         return cls.from_json_dict(json.loads(text))
+
+
+# Keys a spec JSON must hold: a dict lists required keys, [x] is a list of x.
+_SPEC_SCHEMA = {
+    "k": int,
+    "field": {"p": int, "m": int},
+    "classA": {"nA": int, "tau": int, "alpha": [[int]]},
+    "classB": {"nB": int, "construction": int, "parities": [[[[int]]]]},
+}
+
+
+def _check_json(value, schema, where: str) -> None:
+    """Raise ValueError naming the first key of `value` that is missing or ill-typed."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"spec JSON: {repr(where) if where else 'the spec'} must be an object")
+        for key, sub in schema.items():
+            name = f"{where}.{key}" if where else key
+            if key not in value:
+                raise ValueError(f"spec JSON: missing key {name!r}")
+            _check_json(value[key], sub, name)
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ValueError(f"spec JSON: {where!r} must be a list")
+        for i, item in enumerate(value):
+            if type(item) is not int or schema[0] is not int:
+                _check_json(item, schema[0], f"{where}[{i}]")
+    elif type(value) is not int:
+        raise ValueError(f"spec JSON: {where!r} must be an integer, got {type(value).__name__}")
 
 
 def encode(spec: CodeSpec, data: DataArray, counter=None) -> CodeArray:

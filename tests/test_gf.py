@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from pbdss.gf import (
@@ -74,8 +75,112 @@ def test_field_validation():
         FieldSpec(4)  # not prime
     with pytest.raises(ValueError):
         FieldSpec(2, 17)  # q > 2^16
+    with pytest.raises(ValueError, match="exceeds"):
+        FieldSpec(10**30 + 57, 1)  # rejected before any primality test
+    with pytest.raises(ValueError, match="exceeds"):
+        FieldSpec(3, 10**12)  # rejected before p**m
     with pytest.raises(ValueError):
-        FieldSpec(2, 2, (1, 0, 1))  # x^2 + 1 reducible over GF(2)
+        FieldSpec(2, 2, (1, 1))  # not of degree m
+    for _ in range(2):  # field tables are cached, a failed build is not
+        with pytest.raises(ValueError, match="reducible"):
+            FieldSpec(2, 2, (1, 0, 1))  # x^2 + 1 reducible over GF(2)
+
+
+def _reference_tables(p, m, reduction):
+    """Generator, exp and log by schoolbook polynomial multiplication: the
+    generator is the smallest element of order q - 1, found by powering."""
+    q = p**m
+
+    def mul(a, b):
+        da = [(a // p**i) % p for i in range(m)]
+        db = [(b // p**i) % p for i in range(m)]
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for d in range(2 * m - 2, m - 1, -1):  # x^d = x^(d-m) * (x^m - reduction)
+            c = prod[d]
+            for i in range(m + 1):
+                prod[d - m + i] = (prod[d - m + i] - c * reduction[i]) % p
+        return sum(c * p**i for i, c in enumerate(prod[:m]))
+
+    def power(a, e):
+        r = 1
+        for _ in range(e):
+            r = mul(r, a)
+        return r
+
+    factors = [r for r in range(2, q) if (q - 1) % r == 0 and all(r % d for d in range(2, r))]
+    gen = next((c for c in range(2, q) if all(power(c, (q - 1) // r) != 1 for r in factors)), 1)
+    exp, log, x = [], [0] * q, 1
+    for i in range(q - 1):
+        exp.append(x)
+        log[x] = i
+        x = mul(x, gen)
+    return gen, exp + exp, log
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 2), (5, 2), (2, 8), (3, 4), (7, 3),
+                                 (2, 10), (251, 1)])
+def test_tables_match_polynomial_reference(p, m):
+    f = FieldSpec(p, m)
+    gen, exp, log = _reference_tables(p, m, f.reduction)
+    assert f.generator == gen
+    assert list(f._exp) == exp
+    assert list(f._log) == log
+
+
+def _check_dense(f, pairs):
+    add_t, sub_t, mul_t, inv_t = f.dense_tables()
+    for t in (add_t, sub_t, mul_t, inv_t):
+        assert t.dtype == np.int32
+    for a, b in pairs:
+        assert add_t[a, b] == f.add(a, b)
+        assert sub_t[a, b] == f.sub(a, b)
+        assert mul_t[a, b] == f.mul(a, b)
+    for a in range(1, f.q):
+        assert inv_t[a] == f.inv(a)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 2), (5, 2), (11, 1), (2, 6), (3, 3), (7, 2)])
+def test_dense_tables_exhaustive(p, m):
+    f = FieldSpec(p, m)
+    _check_dense(f, [(a, b) for a in range(f.q) for b in range(f.q)])
+
+
+@pytest.mark.parametrize("p,m", [(2, 10), (3, 6), (1021, 1)])
+def test_dense_tables_sampled_large(p, m):
+    f = FieldSpec(p, m)
+    rng = random.Random(p * 100 + m)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(3000)]
+    _check_dense(f, pairs + [(0, b) for b in range(f.q)] + [(a, 0) for a in range(f.q)])
+
+
+def test_fields_share_read_only_tables():
+    f, g = FieldSpec(2, 8), FieldSpec(2, 8, default_reduction(2, 8))
+    assert f._exp is g._exp and f._log is g._log
+    for a, b in zip(f.dense_tables(), g.dense_tables()):
+        assert a is b
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[1] = 0
+    other = FieldSpec(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x^2 + 1
+    assert other != f and other._exp != f._exp
+    assert FieldSpec(2, 8).dense_tables() is f.dense_tables()
+
+
+def test_dense_tables_cap():
+    with pytest.raises(ValueError, match="capped"):
+        FieldSpec(2, 11).dense_tables()
+
+
+def test_largest_binary_field():
+    f = FieldSpec(2, 16)
+    rng = random.Random(16)
+    for a in [1, 2, f.q - 1] + [rng.randrange(1, f.q) for _ in range(500)]:
+        assert f.mul(a, f.inv(a)) == 1
+        assert f._exp[f._log[a]] == a
+    assert sorted(f._exp[: f.q - 1]) == list(range(1, f.q))
 
 
 def test_default_reductions():

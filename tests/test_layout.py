@@ -83,6 +83,21 @@ def test_code_array_bad_magic():
         read_code_array(b"NOTPBD" + b"\x00" * 32)
 
 
+def test_code_array_truncation_and_range():
+    f = FieldSpec(3, 2)
+    blob = write_code_array(CodeArray(f, 2, 6, [[1] * 6, [8] * 6], [[False] * 6] * 2))
+    # 16-byte header, 6-byte reduction, 24-byte body, 2-byte mask
+    assert len(blob) == 48
+    for cut, part in ((0, "bad magic"), (15, "header"), (21, "reduction"), (45, "symbols"),
+                      (47, "erasure mask")):
+        with pytest.raises(ValueError, match=part):
+            read_code_array(blob[:cut])
+    bad = bytearray(blob)
+    bad[22:24] = (9).to_bytes(2, "little")  # first symbol 9 is outside GF(9)
+    with pytest.raises(ValueError, match="out of range"):
+        read_code_array(bytes(bad))
+
+
 def test_code_array_get_erased():
     f = FieldSpec(11)
     arr = CodeArray(f, 1, 2, [[5, 6]], [[False, True]])
