@@ -14,7 +14,16 @@ import math
 import random
 from dataclasses import dataclass
 
-from .gf import FieldSpec, is_invertible, smallest_field_of_order_at_least, solve_values, solve_values_dense
+import numpy as np
+
+from .gf import (
+    FieldSpec,
+    batch_rank,
+    rank_batch_len,
+    smallest_field_of_order_at_least,
+    solve_values,
+    solve_values_dense,
+)
 from .layout import CodeArray, DataArray, mod_k
 
 EXHAUSTIVE_SUBMATRIX_LIMIT = 10**5
@@ -85,14 +94,14 @@ def mds_generator(
     k: int,
     field: FieldSpec,
     *,
-    verify: bool = True,
     rng: random.Random | None = None,
 ) -> list[list[int]]:
     """Parity coefficients alpha of a systematic (n_a, k) MDS code.
 
     Built from a Reed-Solomon code on n_a distinct nonzero evaluation
     points (shortening a longer RS code just drops points, so any q with
-    q >= n_a + 1 works).  Returns the k x (n_a - k) block P of [I | P].
+    q >= n_a + 1 works).  Returns the k x (n_a - k) block P of [I | P],
+    checked by verify_mds.
     """
     if field.q < n_a + 1:
         raise ValueError(f"field order {field.q} too small for length {n_a}")
@@ -107,13 +116,8 @@ def mds_generator(
             raise ValueError("degenerate evaluation points")
         cols.append([s.value for s in res.solution])
     alpha = [[cols[j][i] for j in range(n_a - k)] for i in range(k)]
-    if verify:
-        verify_mds(alpha, n_a, k, field, rng=rng)
+    verify_mds(alpha, n_a, k, field, rng=rng)
     return alpha
-
-
-def _transpose(rows: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*rows)]
 
 
 def verify_mds(
@@ -126,29 +130,39 @@ def verify_mds(
     """Check every k x k submatrix of [I | alpha]^T is invertible.
 
     Exhaustive up to EXHAUSTIVE_SUBMATRIX_LIMIT submatrices, randomized
-    beyond that.  Failure indicates a bad reduction polynomial or a broken
+    beyond that.  Columns D + P of [I | alpha], D data and P parity, are
+    independent iff alpha's minor on the rows not in D and the columns in
+    P is nonsingular, so the subsets are checked as minors, batched by
+    size.  Failure indicates a bad reduction polynomial or a broken
     generator, so it raises rather than returning a flag.
     """
-    gen_cols = _generator_columns(alpha, n_a, k, field)
-    total = math.comb(n_a, k)
-    if total <= EXHAUSTIVE_SUBMATRIX_LIMIT:
-        subsets = itertools.combinations(range(n_a), k)
+    parity = n_a - k
+    # (rows not in D, columns of P - k) of each minor, by the minor's size
+    if math.comb(n_a, k) <= EXHAUSTIVE_SUBMATRIX_LIMIT:
+        minors = {
+            s: itertools.product(itertools.combinations(range(k), s), itertools.combinations(range(parity), s))
+            for s in range(1, min(k, parity) + 1)
+        }
     else:
         rng = rng or random.Random(0)
-        subsets = (sorted(rng.sample(range(n_a), k)) for _ in range(RANDOM_SUBMATRIX_TRIALS))
-    for subset in subsets:
-        sub = [gen_cols[c] for c in subset]
-        if not is_invertible(field, sub):
-            raise ValueError(f"MDS check failed: columns {tuple(subset)} are singular")
-
-
-def _generator_columns(alpha, n_a, k, field):
-    cols = []
-    for c in range(k):
-        cols.append([1 if r == c else 0 for r in range(k)])
-    for c in range(k, n_a):
-        cols.append([alpha[r][c - k] for r in range(k)])
-    return cols
+        minors = {}
+        for _ in range(RANDOM_SUBMATRIX_TRIALS):
+            subset = set(rng.sample(range(n_a), k))
+            rows = tuple(i for i in range(k) if i not in subset)
+            cols = tuple(c - k for c in sorted(subset) if c >= k)
+            minors.setdefault(len(rows), []).append((rows, cols))
+        minors.pop(0, None)  # [I] alone is invertible
+    alpha = np.array(alpha, dtype=np.int64)
+    for s, pairs in minors.items():
+        pairs = iter(pairs)
+        while batch := list(itertools.islice(pairs, rank_batch_len(s, s))):
+            idx = np.array(batch, dtype=np.int64)
+            ranks = batch_rank(field, alpha[idx[:, 0, :, None], idx[:, 1, None, :]])
+            bad = np.nonzero(ranks != s)[0]
+            if bad.size:
+                rows, cols = idx[bad[0]].tolist()
+                subset = tuple([i for i in range(k) if i not in rows] + [c + k for c in cols])
+                raise ValueError(f"MDS check failed: columns {subset} are singular")
 
 
 @dataclass(frozen=True)
@@ -175,13 +189,11 @@ class ClassASpec:
         k: int,
         tau: int,
         field: FieldSpec | None = None,
-        *,
-        verify: bool = True,
     ) -> "ClassASpec":
         _check_params(n_a, k, tau)
         if field is None:
             field = smallest_field_of_order_at_least(n_a + 1)
-        alpha = mds_generator(n_a, k, field, verify=verify)
+        alpha = mds_generator(n_a, k, field)
         return cls(field, n_a, k, tau, tuple(tuple(r) for r in alpha))
 
     @property

@@ -11,7 +11,9 @@ exhaustive checks (irreducibility, field axioms in tests) stay cheap.
 
 A field's exp/log and dense tables are a pure function of (p, m, reduction),
 so they are built once per field and shared, read-only, by every FieldSpec
-of that field.
+of that field.  batch_rank, the rank kernel of the MDS check and the
+exhaustive fault-tolerance search, uses only O(q) tables, so it covers every
+field up to q = 2**16; the dense tables hold q**2 entries and stop at 1024.
 """
 
 from __future__ import annotations
@@ -256,8 +258,10 @@ class FieldSpec:
         if reduction is None:
             reduction = default_reduction(p, m)
         reduction = tuple(c % p for c in reduction)
-        if m > 1 and (len(reduction) != m + 1 or reduction[-1] != 1):
+        if len(reduction) != m + 1 or reduction[-1] != 1:
             raise ValueError("reduction must be monic of degree m")
+        if m == 1:  # every x + c gives the same field and the same integers
+            reduction = (0, 1)
         self.p = p
         self.m = m
         self.q = q
@@ -544,9 +548,98 @@ def matrix_rank(field: FieldSpec, rows: list[list[int]]) -> int:
     return len(pivots)
 
 
-def is_invertible(field: FieldSpec, rows: list[list[int]]) -> bool:
-    n = len(rows)
-    return n == 0 or (len(rows[0]) == n and matrix_rank(field, rows) == n)
+# -- batched rank ------------------------------------------------------------
+
+# Matrix entries eliminated per lockstep batch: bounds the kernel's
+# temporaries (a few arrays of this many int64) for every field and shape.
+RANK_BATCH_ENTRIES = 1 << 14
+
+
+def rank_batch_len(rows: int, cols: int) -> int:
+    """How many rows x cols matrices one batch_rank step takes at once."""
+    return max(1, RANK_BATCH_ENTRIES // max(1, rows * cols))
+
+
+@functools.lru_cache(maxsize=16)
+def _rank_tables(p: int, m: int, reduction: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """exp, periodic over 3(q - 1) and then zero-padded, and log with
+    log 0 = 3(q - 1) pointing into the pad.
+
+    batch_rank indexes exp with sums of two logs of entries (each at most
+    q - 2 when nonzero) and one log of a pivot's inverse (at most q - 1).
+    With every term nonzero the sum stays in the periodic part; with any
+    log 0 in it the sum lands in the pad.  So exp[sum] is the product,
+    zero or not, with no mask.
+    """
+    q = p**m
+    tables = _field_tables(p, m, reduction)
+    zero_log = 3 * (q - 1)
+    exp = np.zeros(2 * zero_log + q, dtype=np.int64)
+    exp[:zero_log] = np.tile(tables.exp[: q - 1], 3)
+    log = np.array(tables.log, dtype=np.int64)
+    log[0] = zero_log
+    for t in (exp, log):
+        t.flags.writeable = False
+    return exp, log
+
+
+def _sub(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    p = field.p
+    if p == 2:
+        return a ^ b
+    if field.m == 1:
+        return (a - b) % p
+    out = np.zeros_like(a)
+    for i in range(field.m):  # digit-wise mod p
+        w = p**i
+        out += (a // w - b // w) % p * w
+    return out
+
+
+def batch_rank(field: FieldSpec, mats) -> np.ndarray:
+    """Ranks of a (B, R, C) stack of matrices over the field.
+
+    All B matrices are eliminated in lockstep, one column per step: each
+    takes its first unused row with a nonzero entry as pivot and clears
+    that column from its other unused rows.  Products come from the
+    field's O(q) exp/log tables; the stack is taken RANK_BATCH_ENTRIES
+    entries at a time, so memory stays flat for any B and any q <= 2**16.
+    """
+    mats = np.asarray(mats, dtype=np.int64)
+    if mats.ndim != 3:
+        raise ValueError(f"expected a (B, R, C) stack, got shape {mats.shape}")
+    if mats.shape[2] > mats.shape[1]:
+        mats = mats.transpose(0, 2, 1)  # rank is the same; step over the shorter side
+    b, rows, cols = mats.shape
+    ranks = np.zeros(b, dtype=np.int64)
+    if not rows or not cols:
+        return ranks
+    exp, log = _rank_tables(field.p, field.m, field.reduction)
+    zero_log = log[0]
+    step = rank_batch_len(rows, cols)
+    for lo in range(0, b, step):
+        m = mats[lo : lo + step].copy()
+        idx = np.arange(len(m))
+        used = np.zeros((len(m), rows), dtype=bool)
+        rank = ranks[lo : lo + step]
+        for c in range(cols):
+            col = m[:, :, c]
+            cand = (col != 0) & ~used
+            piv = cand.argmax(axis=1)
+            has = cand[idx, piv]
+            if not has.any():  # e.g. a zero column padding smaller matrices
+                continue
+            used[idx, piv] |= has
+            rank += has
+            if c + 1 == cols:
+                break
+            prow = log[m[idx, piv, c:]]  # logs of the pivot and of the rest of its row
+            inv_log = np.where(has, field.q - 1 - prow[:, 0], 0)
+            # log of (entry / pivot) for the unused rows; where a matrix has
+            # no pivot their entries in column c are 0, and so are the factors
+            factor = np.where(used, zero_log, log[col] + inv_log[:, None])
+            m[:, :, c + 1 :] = _sub(field, m[:, :, c + 1 :], exp[factor[:, :, None] + prow[:, None, 1:]])
+    return ranks
 
 
 def smallest_field_of_order_at_least(n: int) -> FieldSpec:

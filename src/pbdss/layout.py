@@ -189,8 +189,14 @@ def read_code_array(blob: bytes) -> CodeArray:
     if flat and max(flat) >= field.q:
         raise ValueError(f"symbol value {max(flat)} out of range for {field}")
     rows = [list(flat[i * n : (i + 1) * n]) for i in range(k)]
-    _need(blob, off, (k * n + 7) // 8, "erasure mask")
-    mask_bytes = blob[off : off + (k * n + 7) // 8]
+    mask_len = (k * n + 7) // 8
+    _need(blob, off, mask_len, "erasure mask")
+    if len(blob) > off + mask_len:
+        raise ValueError(
+            f"PBDSS1 array has {len(blob) - off - mask_len} trailing bytes after the erasure mask "
+            f"(bytes {off + mask_len}..{len(blob)})"
+        )
+    mask_bytes = blob[off : off + mask_len]
     erased = [[False] * n for _ in range(k)]
     for idx in range(k * n):
         if mask_bytes[idx // 8] >> (idx % 8) & 1:

@@ -10,14 +10,14 @@ sets.  None of it reuses the scheduling logic it is meant to check.
 from __future__ import annotations
 
 import itertools
+import math
 from multiprocessing import Pool
 
 import numpy as np
 
 from .class_a import ClassASpec
+from .gf import batch_rank, rank_batch_len
 from .repair import CodeSpec
-
-ErasurePattern = frozenset
 
 
 def generator_rows(code) -> list[list[np.ndarray]]:
@@ -54,30 +54,6 @@ def generator_rows(code) -> list[list[np.ndarray]]:
     return nodes
 
 
-def _rank(field, m: np.ndarray) -> int:
-    """Gaussian elimination rank over the field via dense lookup tables."""
-    add_t, sub_t, mul_t, inv_t = field.dense_tables()
-    m = m.copy()
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        pivots = np.nonzero(m[r:, c])[0]
-        if pivots.size == 0:
-            continue
-        p = r + int(pivots[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        m[r] = mul_t[int(inv_t[m[r, c]]), m[r]]
-        hit = np.nonzero(m[:, c])[0]
-        hit = hit[hit != r]
-        if hit.size:
-            m[hit] = sub_t[m[hit], mul_t[m[np.ix_(hit, [c])], m[r][None, :]]]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def ml_decodable(code, pattern) -> bool:
     """True when the surviving symbols determine all k^2 data symbols."""
     nodes = generator_rows(code)
@@ -85,21 +61,54 @@ def ml_decodable(code, pattern) -> bool:
 
 
 def _ml_decodable_rows(code, nodes, pattern) -> bool:
-    pattern = set(pattern)
+    pattern = sorted(set(pattern))
     if any(not 0 <= x < len(nodes) for x in pattern):
         raise ValueError("erased node index out of range")
+    patterns = np.array([pattern], dtype=np.int64)
+    return bool(_decodable(code, _parity_forms(code, nodes), patterns)[0])
+
+
+def _parity_forms(code, nodes) -> np.ndarray:
+    """The forms of the non-systematic nodes, (n - k) * k rows over the k^2
+    data symbols, with one zero column appended."""
     k = code.k
-    alive = [v for c, col in enumerate(nodes) if c not in pattern for v in col]
-    if len(alive) < k * k:
-        return False
-    return _rank(code.field, np.stack(alive)) == k * k
+    forms = np.array(nodes[k:], dtype=np.int64).reshape(-1, k * k)
+    return np.pad(forms, ((0, 0), (0, 1)))
 
 
-def _ft_worker(args):
-    code, t, chunk = args
-    nodes = generator_rows(code)
-    for pattern in chunk:
-        if not _ml_decodable_rows(code, nodes, pattern):
+def _decodable(code, forms: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """Decodability of a (B, t) stack of sorted erasure patterns.
+
+    Surviving data nodes give their symbols outright, so a pattern is
+    decodable iff the surviving parity forms, restricted to the erased
+    data nodes' symbols, have full column rank.
+    """
+    k = code.k
+    n = k + len(forms) // k
+    b, t = patterns.shape
+    head = patterns[:, : min(t, k)]  # erased data nodes lead a sorted pattern
+    is_data = head < k
+    # symbol (i, j) is variable i*k + j; pad with the zero column k*k
+    cols = np.where(is_data[:, :, None], np.arange(k) * k + head[:, :, None], k * k)
+    mats = forms[:, cols.reshape(b, -1)].transpose(1, 0, 2)
+    erased = np.zeros((b, n), dtype=bool)
+    erased[np.arange(b)[:, None], patterns] = True
+    mats[np.repeat(erased[:, k:], k, axis=1)] = 0  # lost parity forms
+    return batch_rank(code.field, mats) == k * is_data.sum(axis=1)
+
+
+def _level_decodable(code, forms: np.ndarray, t: int, share: int = 0, shares: int = 1) -> bool:
+    """Whether every t-node erasure pattern is decodable.
+
+    Patterns are checked in chunks of one batch_rank step; a worker of a
+    pool of `shares` takes every shares-th chunk from number `share`.
+    """
+    k = code.k
+    patterns = itertools.combinations(range(k + len(forms) // k), t)
+    size = rank_batch_len(len(forms), min(t, k) * k)
+    chunks = iter(lambda: list(itertools.islice(patterns, size)), [])
+    for chunk in itertools.islice(chunks, share, None, shares):
+        if not _decodable(code, forms, np.array(chunk, dtype=np.int64)).all():
             return False
     return True
 
@@ -109,20 +118,17 @@ def brute_force_fault_tolerance(code, processes: int = 1, max_t: int | None = No
     n = code.n_a if isinstance(code, ClassASpec) else code.n
     if n > 16:
         raise ValueError("exhaustive search capped at n <= 16")
-    nodes = generator_rows(code)
+    forms = _parity_forms(code, generator_rows(code))
     limit = max_t if max_t is not None else n
     for t in range(1, limit + 1):
-        patterns = list(itertools.combinations(range(n), t))
-        if processes > 1 and len(patterns) >= 64:
-            chunks = [patterns[i::processes] for i in range(processes)]
+        if processes > 1 and math.comb(n, t) >= 64:
+            shares = [(code, forms, t, i, processes) for i in range(processes)]
             with Pool(processes) as pool:
-                results = pool.map(_ft_worker, [(code, t, ch) for ch in chunks])
-            if not all(results):
-                return t - 1
+                ok = all(pool.starmap(_level_decodable, shares))
         else:
-            for pattern in patterns:
-                if not _ml_decodable_rows(code, nodes, pattern):
-                    return t - 1
+            ok = _level_decodable(code, forms, t)
+        if not ok:
+            return t - 1
     return limit
 
 

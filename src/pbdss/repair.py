@@ -107,9 +107,8 @@ class CodeSpec:
         construction: int = 1,
         field: FieldSpec | None = None,
         remark1: bool = False,
-        verify_mds: bool = True,
     ) -> "CodeSpec":
-        spec_a = ClassASpec.build(n_a, k, tau, field, verify=verify_mds)
+        spec_a = ClassASpec.build(n_a, k, tau, field)
         if construction == 1:
             spec_b = construct1_parities(k, n_a, n_b, tau, remark1=remark1)
         elif construction == 2:

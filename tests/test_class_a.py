@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+import re
 
 import pytest
 
@@ -52,17 +54,48 @@ def test_mds_generator_field_too_small(gf8):
         mds_generator(9, 5, gf8)
 
 
+def _named_singular(info, alpha, k, field):
+    """The column set verify_mds named is really singular."""
+    subset = ast.literal_eval(re.search(r"columns (\(.*?\)) are singular", str(info.value)).group(1))
+    cols = [[1 if r == c else 0 for r in range(k)] if c < k else [alpha[r][c - k] for r in range(k)]
+            for c in subset]
+    return len(subset) == k and matrix_rank(field, cols) < k
+
+
 def test_verify_mds_catches_corruption(gf8):
     alpha = [list(r) for r in mds_generator(7, 5, gf8)]
     alpha[2][1] = 0  # zero coefficient kills some submatrix
-    with pytest.raises(ValueError, match="columns"):
+    with pytest.raises(ValueError, match="columns") as info:
         verify_mds(alpha, 7, 5, gf8)
+    assert _named_singular(info, alpha, 5, gf8)
+
+
+def test_verify_mds_rejects_singular_minor_without_zeros(gf11):
+    alpha = [list(r) for r in mds_generator(9, 5, gf11)]
+    # make rows 1, 3 x parity columns 0, 2 proportional: a singular 2x2 minor
+    alpha[3][2] = gf11.div(gf11.mul(alpha[1][2], alpha[3][0]), alpha[1][0])
+    assert all(v for row in alpha for v in row)
+    assert not brute_submatrix_check(alpha, 9, 5, gf11)
+    with pytest.raises(ValueError, match="singular") as info:
+        verify_mds(alpha, 9, 5, gf11)
+    assert _named_singular(info, alpha, 5, gf11)
+
+
+def test_verify_mds_sampled_branch():
+    # C(18, 9) > 10**5 subsets: 10**4 seeded samples, still batched by minor size
+    f = FieldSpec(2, 5)
+    alpha = mds_generator(18, 9, f)
+    verify_mds(alpha, 18, 9, f)
+    bad = [list(r) for r in alpha]
+    bad[0][0] = 0
+    with pytest.raises(ValueError, match="singular"):
+        verify_mds(bad, 18, 9, f)
 
 
 def test_piggyback_indices():
-    spec = ClassASpec.build(7, 5, 1, verify=False)
+    spec = ClassASpec.build(7, 5, 1)
     assert spec.piggyback_source(0, 6) == (1, 0)
-    spec64 = ClassASpec.build(6, 4, 1, verify=False)
+    spec64 = ClassASpec.build(6, 4, 1)
     assert spec64.piggyback_source(3, 5) == (0, 3)
 
 

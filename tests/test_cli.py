@@ -155,6 +155,14 @@ def test_truncated_array_exits_2(tmp_path, capsys, part):
     assert f"truncated PBDSS1 array: {part}" in err
 
 
+def test_array_with_trailing_bytes_exits_2(tmp_path, capsys):
+    spec_path, arr_path = _spec_and_array(tmp_path, capsys)
+    arr_path.write_bytes(arr_path.read_bytes() + b"garbage!")
+    code, _, err = run(capsys, "repair-sim", "--spec", str(spec_path), "--array", str(arr_path))
+    assert code == 2
+    assert "8 trailing bytes after the erasure mask" in err
+
+
 def test_array_of_another_code_exits_2(tmp_path, capsys):
     spec_path, _ = _spec_and_array(tmp_path, capsys)
     _, other_arr = _spec_and_array(tmp_path, capsys, ("5", "7", "6", "1"), name="other")

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pbdss.gf import (
+    RANK_BATCH_ENTRIES,
     FieldMismatchError,
     FieldSpec,
     Symbol,
+    batch_rank,
     default_reduction,
     field_arith,
     gaussian_solve,
@@ -84,6 +86,12 @@ def test_field_validation():
     for _ in range(2):  # field tables are cached, a failed build is not
         with pytest.raises(ValueError, match="reducible"):
             FieldSpec(2, 2, (1, 0, 1))  # x^2 + 1 reducible over GF(2)
+    # a prime field takes no reduction or any monic x + c, and stores x
+    assert FieldSpec(11, 1, (3, 1)) == FieldSpec(11) == FieldSpec(11, 1, (0, 12))
+    assert FieldSpec(11, 1, (3, 1)).reduction == (0, 1)
+    for bad in ((), (1,), (1, 2), (1, 0, 1)):
+        with pytest.raises(ValueError, match="monic of degree m"):
+            FieldSpec(11, 1, bad)
 
 
 def _reference_tables(p, m, reduction):
@@ -274,6 +282,72 @@ def test_dense_solver_matches_reference():
                 assert r2.solution is None
             else:
                 assert [s.value for s in r1.solution] == [s.value for s in r2.solution]
+
+
+def _random_matrix(f, rng, rows, cols):
+    """Random entries, then zero, repeated and scaled rows, or a low-rank product."""
+    kind = rng.randrange(4)
+    if kind == 3:  # rank at most r: (rows x r) @ (r x cols)
+        r = rng.randrange(min(rows, cols) + 1)
+        left = [[rng.randrange(f.q) for _ in range(r)] for _ in range(rows)]
+        right = [[rng.randrange(f.q) for _ in range(cols)] for _ in range(r)]
+        out = []
+        for row in left:
+            acc = [0] * cols
+            for a, rr in zip(row, right):
+                acc = [f.add(x, f.mul(a, y)) for x, y in zip(acc, rr)]
+            out.append(acc)
+        return out
+    m = [[rng.randrange(f.q) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1:
+        i, j = rng.sample(range(rows), 2)
+        if kind == 0:
+            m[i] = [0] * cols
+        elif kind == 1:
+            m[i] = list(m[j])
+        else:
+            c = rng.randrange(1, f.q)
+            m[i] = [f.mul(c, x) for x in m[j]]
+    return m
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2), (7, 3), (11, 1), (13, 1), (2, 8), (2, 11), (2, 16)],
+)
+def test_batch_rank_matches_reference(p, m):
+    f = FieldSpec(p, m)
+    rng = random.Random(p * 100 + m)
+    for b, rows, cols in ((1, 4, 4), (1, 1, 1), (12, 3, 6), (12, 6, 3), (12, 5, 5), (6, 8, 2), (6, 2, 8)):
+        mats = [_random_matrix(f, rng, rows, cols) for _ in range(b)]
+        want = [matrix_rank(f, [list(r) for r in mat]) for mat in mats]
+        assert batch_rank(f, mats).tolist() == want, (f, rows, cols)
+
+
+def test_batch_rank_every_2x2():
+    for f in (FieldSpec(2, 2), FieldSpec(5)):
+        mats = [[[a, b], [c, d]] for a in range(f.q) for b in range(f.q)
+                for c in range(f.q) for d in range(f.q)]
+        want = [matrix_rank(f, [list(r) for r in mat]) for mat in mats]
+        assert batch_rank(f, mats).tolist() == want
+        assert want.count(2) == (f.q**2 - 1) * (f.q**2 - f.q)  # |GL(2, q)|
+
+
+def test_batch_rank_streams_large_stacks():
+    f = FieldSpec(3, 2)
+    rng = random.Random(5)
+    mats = [_random_matrix(f, rng, 6, 5) for _ in range(RANK_BATCH_ENTRIES // 30 * 2 + 7)]
+    want = [matrix_rank(f, [list(r) for r in mat]) for mat in mats]
+    assert batch_rank(f, mats).tolist() == want
+
+
+def test_batch_rank_empty_and_bad_shapes():
+    f = FieldSpec(11)
+    assert batch_rank(f, np.zeros((0, 3, 3), dtype=int)).shape == (0,)
+    assert batch_rank(f, np.zeros((2, 0, 3), dtype=int)).tolist() == [0, 0]
+    assert batch_rank(f, np.zeros((2, 3, 0), dtype=int)).tolist() == [0, 0]
+    with pytest.raises(ValueError, match="stack"):
+        batch_rank(f, [[1, 2], [3, 4]])
 
 
 def test_symbol_value_range():

@@ -98,6 +98,12 @@ def test_code_array_truncation_and_range():
         read_code_array(bytes(bad))
 
 
+def test_code_array_trailing_bytes():
+    blob = write_code_array(CodeArray(FieldSpec(11), 1, 2, [[5, 6]], [[False, True]]))
+    with pytest.raises(ValueError, match="8 trailing bytes"):
+        read_code_array(blob + b"garbage!")
+
+
 def test_code_array_get_erased():
     f = FieldSpec(11)
     arr = CodeArray(f, 1, 2, [[5, 6]], [[False, True]])

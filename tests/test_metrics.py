@@ -64,7 +64,7 @@ def test_measured_matches_formula_example(spec_9_5):
 
 @pytest.mark.parametrize("k,n_a,n_b,tau", [(5, 8, 6, 1), (7, 10, 8, 2), (9, 12, 11, 2), (5, 7, 8, 1)])
 def test_construction1_counters_exact(k, n_a, n_b, tau):
-    spec = CodeSpec.build(k, n_a, n_b, tau, verify_mds=False)
+    spec = CodeSpec.build(k, n_a, n_b, tau)
     report = formula_bundle(spec.n, k, n_a, tau, spec.field)
     meas = measured_complexity(spec)
     assert all(v == report.repair_ops for v in meas["repair_bit_ops_per_node"])
@@ -72,7 +72,7 @@ def test_construction1_counters_exact(k, n_a, n_b, tau):
 
 
 def test_construction2_encode_within_bound():
-    spec = CodeSpec.build(6, 9, 7, 2, construction=2, verify_mds=False)
+    spec = CodeSpec.build(6, 9, 7, 2, construction=2)
     report = formula_bundle(spec.n, 6, 9, 2, spec.field)
     meas = measured_complexity(spec)
     assert meas["encode_bit_ops_per_row"] <= report.encode_ops
@@ -121,7 +121,7 @@ def test_adding_class_b_node_never_increases_lambda():
     for n_b in range(k, 2 * k - tau):
         if n_b == k:
             continue
-        spec = CodeSpec.build(k, n_a, n_b, tau, verify_mds=False)
+        spec = CodeSpec.build(k, n_a, n_b, tau)
         lam, _ = measured_lambda(spec)
         if prev is not None:
             assert lam <= prev + 1e-12

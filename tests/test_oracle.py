@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pbdss.class_a import ClassASpec, UnrecoverableErasureError, fault_tolerance, verify_mds
+from pbdss.gf import FieldSpec, matrix_rank
 from pbdss.layout import DataArray
 from pbdss.oracle import (
     brute_force_fault_tolerance,
@@ -92,6 +93,30 @@ def test_ml_tolerance_depends_on_mds_coefficients(gf11):
     assert not ml_decodable(spec, (1, 3, 5))
 
 
+def _decodable_by_reference(code, pattern):
+    """Rank of every surviving linear form, by the pure-Python elimination."""
+    nodes = generator_rows(code)
+    alive = [[int(x) for x in v] for c, col in enumerate(nodes) if c not in pattern for v in col]
+    return bool(alive) and matrix_rank(code.field, alive) == code.k**2
+
+
+@pytest.mark.parametrize("build", [
+    lambda f: ClassASpec.build(7, 5, 1, f),
+    lambda f: CodeSpec.build(4, 6, 6, 1, field=f),
+], ids=["class-a-7-5-1", "code-8-4-1"])
+def test_oracles_beyond_dense_table_cap(build):
+    # GF(2^11) is past the q <= 1024 cap of the dense tables
+    code = build(FieldSpec(2, 11))
+    n = len(generator_rows(code))
+    every_pattern_decodable = []
+    for t in range(n + 1):
+        patterns = list(itertools.combinations(range(n), t))
+        want = [_decodable_by_reference(code, p) for p in patterns]
+        assert [ml_decodable(code, p) for p in patterns] == want, t
+        every_pattern_decodable.append(all(want))
+    assert brute_force_fault_tolerance(code) == every_pattern_decodable.index(False) - 1
+
+
 def test_class_b_nodes_do_not_add_fault_tolerance(spec_10_5):
     alone = brute_force_fault_tolerance(spec_10_5.class_a)
     full = brute_force_fault_tolerance(spec_10_5)
@@ -123,7 +148,7 @@ def test_ml_decode_raises_on_undecodable(spec_10_5):
 def test_min_read_mds_only():
     # no piggybacks, no sum parities: stripes are independent, so the
     # whole column costs k reads per symbol
-    spec = CodeSpec.build(3, 5, 3, 0, verify_mds=False)
+    spec = CodeSpec.build(3, 5, 3, 0)
     assert min_read_repair(spec, 0) == 9
 
 
@@ -136,7 +161,7 @@ def test_min_read_matches_schedule_7_4(spec_7_4_h):
 
 
 def test_min_read_never_exceeds_schedule():
-    spec = CodeSpec.build(4, 6, 6, 1, verify_mds=False)
+    spec = CodeSpec.build(4, 6, 6, 1)
     data = DataArray.random(spec.field, 4, random.Random(4))
     arr = encode(spec, data)
     for j in range(4):
@@ -145,7 +170,7 @@ def test_min_read_never_exceeds_schedule():
 
 
 def test_min_read_size_cap():
-    spec = CodeSpec.build(7, 10, 8, 2, verify_mds=False)
+    spec = CodeSpec.build(7, 10, 8, 2)
     with pytest.raises(ValueError):
         min_read_repair(spec, 0)
 

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from pbdss.class_a import UnrecoverableErasureError
+from pbdss.class_a import ClassASpec, UnrecoverableErasureError
+from pbdss.class_b import construct1_parities
 from pbdss.layout import DataArray, q_set
 from pbdss.metrics import OpCounter, formula_bundle
 from pbdss.repair import (
@@ -133,8 +134,9 @@ def test_bandwidth_bound_sweep():
             for n_a in range(k + 2, 2 * k):
                 if tau > n_a - k - 1:
                     continue
+                spec_a = ClassASpec.build(n_a, k, tau)  # checked MDS once per shape
                 for n_b in range(k + 1, 2 * k - tau):
-                    spec = CodeSpec.build(k, n_a, n_b, tau, verify_mds=False)
+                    spec = CodeSpec(spec_a.field, spec_a, construct1_parities(k, n_a, n_b, tau))
                     report = formula_bundle(spec.n, k, n_a, tau, spec.field)
                     data = DataArray.random(spec.field, k, rng)
                     arr = encode(spec, data)
@@ -164,9 +166,6 @@ def test_codespec_json_roundtrip(spec_10_5, tmp_path):
 
 
 def test_codespec_validation(gf8, gf11):
-    from pbdss.class_a import ClassASpec
-    from pbdss.class_b import construct1_parities
-
     spec_a = ClassASpec.build(7, 5, 1, gf8)
     wrong_tau = construct1_parities(5, 7, 7, 2)
     with pytest.raises(ValueError):
@@ -178,7 +177,7 @@ def test_roundtrip_both_constructions_small_sweep():
     cases = [(4, 6, 5, 1), (6, 9, 7, 2), (5, 7, 8, 1), (6, 8, 9, 1)]
     for (k, n_a, n_b, tau) in cases:
         for construction in (1, 2):
-            spec = CodeSpec.build(k, n_a, n_b, tau, construction=construction, verify_mds=False)
+            spec = CodeSpec.build(k, n_a, n_b, tau, construction=construction)
             for _ in range(5):
                 data = DataArray.random(spec.field, k, rng)
                 arr = encode(spec, data)
