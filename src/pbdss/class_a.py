@@ -9,6 +9,7 @@ fault tolerance; fault_tolerance() quantifies exactly how much.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -18,11 +19,13 @@ import numpy as np
 
 from .gf import (
     FieldSpec,
+    array_sub,
     batch_rank,
+    eliminate,
+    matmul,
     rank_batch_len,
     smallest_field_of_order_at_least,
     solve_values,
-    solve_values_dense,
 )
 from .layout import CodeArray, DataArray, mod_k
 
@@ -68,10 +71,10 @@ def fault_tolerance(n_a: int, k: int, tau: int) -> FaultToleranceReport:
 
     Caveat where xi is an integer, e.g. (k, n_a, tau) = (6, 9, 2),
     (6, 10, 3) and (8, 12, 2): the rotation schedule alone fails on f
-    alternating data failures ((0, 2, 4) at k = 6), which _rank_decode
-    recovers for the RS defaults.  For arbitrary MDS coefficients f is not
-    a guarantee there: at (6, 9, 2) an MDS block over GF(11) tolerates only
-    2 failures (tests/test_oracle.py pins it).  The paper's abstract does
+    alternating data failures ((0, 2, 4) at k = 6), which the decoder's
+    elimination fallback recovers for the RS defaults.  For arbitrary MDS
+    coefficients f is not a guarantee there: at (6, 9, 2) an MDS block over
+    GF(11) tolerates only 2 failures (tests/test_oracle.py pins it).  The paper's abstract does
     not settle whether its bound needs psi(tau') < 0 or psi(tau') <= 0.
     """
     _check_params(n_a, k, tau)
@@ -254,132 +257,233 @@ def _available_run_start(k: int, alive_data: set[int], length: int) -> int | Non
     return None
 
 
-def decode_multi_class_a(
-    array: CodeArray,
-    spec: ClassASpec,
-    erased_nodes: set[int] | None = None,
-) -> dict[int, list[int]]:
-    """Recover all erased columns among nodes [0, n_a).
+# Plans are cached by value.  The bound holds every pattern of up to three
+# erased nodes of a 16-node code (16 + 120 + 560), the longest code the
+# exhaustive oracle takes.
+PLAN_CACHE_SIZE = sum(math.comb(16, t) for t in range(1, 4))
 
-    Runs the piggyback-stripping rotation schedule: find a run of tau'
-    consecutive available data nodes, then walk rows backwards from the
-    end of the run, recovering each row with an MDS solve after the
-    needed piggybacked parities have been cleaned with already-known
-    data.  Erased parity columns are re-encoded afterwards.
 
-    Patterns the schedule cannot order (no long-enough run) fall back to
-    the generic rank decoder over the symbol-level code.
+@dataclass(frozen=True, eq=False, slots=True)
+class DecodePlan:
+    """The decode of one erasure pattern, as a GF(q) linear map.
+
+    Row s * k + i of `matrix` gives symbol i of node nodes[s] as a
+    combination of the symbols read: read t is row t % k of node
+    slots[t // k].  `matrix` is None when the pattern is not decodable;
+    `rank` is then the rank of the surviving class-A symbols over the
+    k^2 data symbols.
     """
-    k, n_a = spec.k, spec.n_a
-    if erased_nodes is None:
-        erased_nodes = {
-            j for j in range(n_a) if any(array.erased[i][j] for i in range(k))
-        }
-    erased_nodes = set(erased_nodes)
-    if any(not 0 <= j < n_a for j in erased_nodes):
-        raise ValueError("erased node index outside class A code")
 
-    failed_data = sorted(j for j in erased_nodes if j < k)
-    failed_parity = sorted(j for j in erased_nodes if j >= k)
-    known = {
-        (i, j): array.rows[i][j]
-        for j in range(k)
-        if j not in erased_nodes
-        for i in range(k)
-    }
-
-    if failed_data:
-        ok = _schedule_decode(array, spec, failed_data, erased_nodes, known)
-        if not ok:
-            _rank_decode(array, spec, erased_nodes, known)
-
-    columns = {j: [known[(i, j)] for i in range(k)] for j in range(k)}
-    if failed_parity:
-        data = DataArray(spec.field, [[known[(i, j)] for j in range(k)] for i in range(k)])
-        parities = encode_class_a(data, spec)
-        for j in failed_parity:
-            columns[j] = [parities[i][j - k] for i in range(k)]
-    return columns
+    nodes: tuple[int, ...]
+    slots: np.ndarray
+    matrix: np.ndarray | None
+    rank: int
 
 
-def _schedule_decode(array, spec, failed_data, erased_nodes, known) -> bool:
+def _compact(field: FieldSpec):
+    """The smallest unsigned dtype holding every element of the field.
+
+    It also holds every class-A node index, as n_a < q.
+    """
+    return np.uint8 if field.q <= 256 else np.uint16
+
+
+def _split(code) -> tuple[ClassASpec, int]:
+    """The class-A part of a ClassASpec or CodeSpec, and the code length."""
+    if isinstance(code, ClassASpec):
+        return code, code.n_a
+    return code.class_a, code.n
+
+
+@functools.lru_cache(maxsize=16)  # a few codes per process, as for field tables
+def _interned(code):
+    """The first code seen equal to `code`.
+
+    Plans are cached by value, and a cache key keeps the code object it
+    was made with; keying every plan with one copy of each code keeps a
+    caller that loads its spec afresh per call (as the CLI does) from
+    pinning a copy per plan.
+    """
+    return code
+
+
+@functools.lru_cache(maxsize=16)  # a few codes per process, as for field tables
+def _generator(code) -> np.ndarray:
+    """Every stored symbol as a form over the data symbols.
+
+    Entry [c, i, j, r] is the coefficient of data symbol d[r][j] in
+    symbol i of node c: a data symbol, an MDS row plus its piggyback, or
+    a sum.
+    """
+    spec, n = _split(code)
+    k, n_a, tau = spec.k, spec.n_a, spec.tau
+    rows = np.arange(k)
+    gen = np.zeros((n, k, k, k), dtype=_compact(spec.field))
+    gen[rows[:, None], rows, rows[:, None], rows] = 1
+    gen[k:n_a, rows, :, rows] = np.array(spec.alpha).T
+    for c in spec.piggybacked_columns:
+        t = c - (n_a - tau - 1)  # symbol i absorbs data symbol ((i + t) % k, i)
+        gen[c, rows, rows, (rows + t) % k] = 1
+    for c in range(n_a, n):
+        for t, par in enumerate(code.class_b.node_parities(c)):
+            for r, j in par:
+                gen[c, t, j, r] = 1
+    gen.flags.writeable = False
+    return gen
+
+
+def _over(forms: np.ndarray, nodes: list[int]) -> np.ndarray:
+    """(F, k, k) forms over the data symbols of `nodes`, node by node."""
+    return forms[:, nodes].reshape(len(forms), len(nodes) * forms.shape[2]).astype(np.int64)
+
+
+def _schedule_plan(spec: ClassASpec, gen: np.ndarray, failed: list[int], alive: list[int], erased: set[int]):
+    """The rotation schedule, run once on linear forms.
+
+    Find a run of tau' consecutive available data nodes, then walk rows
+    backwards from its end: each row's lost symbols come from phi parities
+    once their piggybacks are cleaned with already-known data.  The phi x
+    phi system is the same on every row, so it is inverted once.  Returns
+    (read nodes, forms of the lost data symbols over the reads), or None
+    where the schedule cannot order the pattern.
+    """
     f = spec.field
     k, n_a, tau = spec.k, spec.n_a, spec.tau
-    phi = len(failed_data)
-    nonmod_alive = [c for c in range(k, n_a - tau) if c not in erased_nodes]
-    piggy_alive_t = [
-        t for t in range(1, tau + 1) if (n_a - tau - 1 + t) not in erased_nodes
-    ]
+    phi = len(failed)
+    nonmod_alive = [c for c in range(k, n_a - tau) if c not in erased]
+    piggy_alive_t = [t for t in range(1, tau + 1) if (n_a - tau - 1 + t) not in erased]
     theta = min(phi, len(nonmod_alive))
     zeta = phi - theta
     if zeta > len(piggy_alive_t):
-        return False
+        return None
     used_t = piggy_alive_t[:zeta]
     tau_prime = used_t[-1] if used_t else 0
-
-    alive_data = {j for j in range(k) if j not in erased_nodes}
-    start = _available_run_start(k, alive_data, tau_prime)
+    start = _available_run_start(k, set(alive), tau_prime)
     if start is None:
-        return False
-
+        return None
     parity_cols = nonmod_alive[:theta] + [n_a - tau - 1 + t for t in used_t]
-    alive_in_row = [j for j in range(k) if j in alive_data]
+    # [parity, data node]: the MDS coefficients, read off symbol 0 of each
+    # parity, whose piggyback is a data symbol of another row
+    alpha = gen[parity_cols, 0, :, 0]
+    # one elimination gives A^-1 and A^-1 B, for A and B the parity
+    # coefficients of the failed and of the alive data nodes
+    eye = np.eye(phi, dtype=np.int64)
+    rank, solved = eliminate(f, alpha[:, failed], np.concatenate([eye, alpha[:, alive]], axis=1))
+    if rank < phi:
+        return None
+    inv = solved[:, :phi]
 
-    # Walk rows backwards from the end of the run; piggyback sources for
-    # row r live in column r, rows r+1..r+tau', which are already known
-    # (alive column, or recovered in the previous steps).
-    r = mod_k(start + tau_prime - 1, k)
-    for _ in range(k):
-        rhs = []
-        for c in parity_cols:
-            val = array.rows[r][c]
-            if c >= n_a - tau:
-                t = c - (n_a - tau - 1)
-                src = (mod_k(r + t, k), r)
-                if src not in known:
-                    return False
-                val = f.sub(val, known[src])
-            for j in alive_in_row:
-                val = f.sub(val, f.mul(spec.alpha[j][c - k], known[(r, j)]))
-            rhs.append(val)
-        a_rows = [[spec.alpha[j][c - k] for j in failed_data] for c in parity_cols]
-        res = solve_values(f, a_rows, rhs)
-        if res.solution is None:
-            return False
-        for j, s in zip(failed_data, res.solution):
-            known[(r, j)] = s.value
-        r = mod_k(r - 1, k)
-    return True
+    # lost[r, s, v, i]: coefficient in d[r][failed[s]] of symbol i of node
+    # slots[v]; row r reads only row r, until piggybacks are cleaned
+    slots = alive + parity_cols
+    coeffs = np.concatenate([array_sub(f, 0, solved[:, phi:]), inv], axis=1)
+    lost = np.eye(k, dtype=np.int64)[:, None, None, :] * coeffs[None, :, :, None]
+    # piggyback sources d[(r + t) % k][r] sit in column r: read when it is
+    # alive, else recovered from rows r+1..r+tau' before row r
+    if used_t:
+        cols = np.array(alive)[:, None]
+        lost[cols, :, np.arange(len(alive))[:, None], (cols + used_t) % k] = array_sub(f, 0, inv[:, theta:]).T
+    lost = lost.reshape(k, phi, -1)
+    index = {j: s for s, j in enumerate(failed)}
+    done = set()
+    for step in range(k):
+        r = mod_k(start + tau_prime - 1 - step, k)
+        if r in index and used_t:
+            srcs = [mod_k(r + t, k) for t in used_t]
+            if any(src not in done for src in srcs):
+                return None
+            lost[r] = array_sub(f, lost[r], matmul(f, inv[:, theta:], lost[srcs, index[r]]))
+        done.add(r)
+    return slots, lost.transpose(1, 0, 2).reshape(phi * k, -1)
 
 
-def _rank_decode(array, spec, erased_nodes, known) -> None:
-    """Solve for all k^2 data symbols from every intact stored symbol."""
-    f = spec.field
-    k, n_a, tau = spec.k, spec.n_a, spec.tau
-    rows, rhs = [], []
-    nvars = k * k
-    for c in range(n_a):
-        if c in erased_nodes:
-            continue
-        for i in range(k):
-            coeff = [0] * nvars
-            if c < k:
-                coeff[i * k + c] = 1
-            else:
-                for l in range(k):
-                    coeff[i * k + l] = spec.alpha[l][c - k]
-                if c >= n_a - tau:
-                    pi, pj = spec.piggyback_source(i, c)
-                    coeff[pi * k + pj] = f.add(coeff[pi * k + pj], 1)
-            rows.append(coeff)
-            rhs.append(array.rows[i][c])
-    res = solve_values_dense(f, rows, rhs)
-    if res.solution is None:
-        raise UnrecoverableErasureError(
-            f"erasure pattern {sorted(erased_nodes)} is not decodable",
-            rank=res.rank,
-            needed=nvars,
+def _rank_plan(spec: ClassASpec, gen: np.ndarray, failed: list[int], alive: list[int], erased: set[int]):
+    """One elimination over every surviving class-A parity symbol.
+
+    Returns (read nodes, forms of the lost data symbols over the reads),
+    or the rank of the surviving symbols when they do not determine the
+    data.
+    """
+    f, k = spec.field, spec.k
+    parities = [c for c in range(k, spec.n_a) if c not in erased]
+    forms = gen[parities].reshape(-1, k, k)
+    rank, left = eliminate(f, _over(forms, failed), np.eye(len(forms), dtype=np.int64))
+    if rank < k * len(failed):
+        return k * len(alive) + rank
+    left = left[:rank]
+    known = array_sub(f, 0, matmul(f, left, _over(forms, alive)))
+    return alive + parities, np.concatenate([known, left], axis=1)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
+    """Compile the decode of one erasure pattern; cached by value.
+
+    `code` is a ClassASpec, or a CodeSpec whose erased sum-parity nodes
+    are then re-encoded too; `erased` lists the erased nodes in
+    increasing order.  The lost data symbols come from the rotation
+    schedule, or from one elimination where the schedule cannot order
+    the pattern; each erased parity symbol is its generator form over
+    the data, with every lost data symbol replaced by its own form.
+    """
+    spec, _ = _split(code)
+    f, k = spec.field, spec.k
+    compact = _compact(f)
+    lost_nodes = set(erased)
+    failed = [j for j in erased if j < k]
+    alive = [j for j in range(k) if j not in lost_nodes]
+    gen = _generator(code)
+    # erased parity symbols over the data, read node by node
+    forms = gen[list(erased[len(failed) :])].reshape(-1, k, k)
+    matrix = _over(forms, alive)
+    slots = alive
+    if failed:
+        found = _schedule_plan(spec, gen, failed, alive, lost_nodes) or _rank_plan(
+            spec, gen, failed, alive, lost_nodes
         )
-    for i in range(k):
-        for j in range(k):
-            known[(i, j)] = res.solution[i * k + j].value
+        if isinstance(found, int):
+            return DecodePlan(erased, np.array(alive, dtype=compact), None, found)
+        slots, lost = found
+        if len(forms):
+            direct = np.zeros((len(forms), lost.shape[1]), dtype=np.int64)
+            direct[:, : matrix.shape[1]] = matrix
+            through = matmul(f, array_sub(f, 0, _over(forms, failed)), lost)
+            lost = np.concatenate([lost, array_sub(f, direct, through)])
+        matrix = lost
+    return DecodePlan(erased, np.array(slots, dtype=compact), matrix.astype(compact), k * k)
+
+
+def decode_multi_class_a(
+    array: CodeArray,
+    code,
+    erased_nodes=None,
+) -> dict[int, list[int]]:
+    """Recover every data column and every erased column.
+
+    `code` is a ClassASpec, or a CodeSpec whose sum-parity nodes, which
+    never take part in correction, are then re-encoded too.  The erased
+    nodes are `erased_nodes` plus every node with a masked symbol, so no
+    masked symbol is ever read.  The pattern's DecodePlan, compiled once
+    and cached, is replayed as one matrix-vector product over the
+    symbols it reads.
+    """
+    spec, n = _split(code)
+    k = spec.k
+    erased = set(erased_nodes or ())
+    if any(not 0 <= j < n for j in erased):
+        raise ValueError("erased node index outside the code")
+    for row in array.erased:
+        erased.update(itertools.compress(range(n), row))
+    plan = decode_plan(_interned(code), tuple(sorted(erased)))
+    if plan.matrix is None:
+        raise UnrecoverableErasureError(
+            f"erasure pattern {[j for j in plan.nodes if j < spec.n_a]} is not decodable",
+            rank=plan.rank,
+            needed=k * k,
+        )
+    columns = {j: [row[j] for row in array.rows] for j in range(k) if j not in erased}
+    if plan.nodes:
+        reads = np.array(array.rows, dtype=np.int64)[:, plan.slots].T.ravel()
+        values = matmul(spec.field, plan.matrix, reads[:, None]).reshape(len(plan.nodes), k)
+        columns.update(zip(plan.nodes, values.tolist()))
+    return columns

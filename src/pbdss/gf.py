@@ -11,9 +11,11 @@ exhaustive checks (irreducibility, field axioms in tests) stay cheap.
 
 A field's exp/log and dense tables are a pure function of (p, m, reduction),
 so they are built once per field and shared, read-only, by every FieldSpec
-of that field.  batch_rank, the rank kernel of the MDS check and the
-exhaustive fault-tolerance search, uses only O(q) tables, so it covers every
-field up to q = 2**16; the dense tables hold q**2 entries and stop at 1024.
+of that field.  The array kernels use only O(q) tables, so they cover every
+field up to q = 2**16: batch_rank, the rank kernel of the MDS check and the
+exhaustive fault-tolerance search; eliminate, the solver of the multi-node
+decoder and of oracle.ml_decode; and matmul, which replays decode plans.
+The dense tables hold q**2 entries and stop at 1024.
 """
 
 from __future__ import annotations
@@ -483,49 +485,6 @@ def solve_values(field: FieldSpec, a_rows: list[list[int]], b: list[int]) -> Sol
     return SolveResult(solution, rank, consistent, pivot_cols, undetermined)
 
 
-def solve_values_dense(field: FieldSpec, a_rows: list[list[int]], b: list[int]) -> SolveResult:
-    """solve_values on numpy lookup tables; same semantics, much faster on
-    large systems over small fields."""
-    if len(a_rows) != len(b):
-        raise ValueError("matrix/vector size mismatch")
-    ncols = len(a_rows[0]) if a_rows else 0
-    if not a_rows:
-        return SolveResult([], 0, True, (), ())
-    _, sub_t, mul_t, inv_t = field.dense_tables()
-    m = np.concatenate(
-        [np.array(a_rows, dtype=np.int32), np.array(b, dtype=np.int32)[:, None]], axis=1
-    )
-    nrows = m.shape[0]
-    pivots = []
-    r = 0
-    for c in range(ncols + 1):
-        if r == nrows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        m[r] = mul_t[int(inv_t[m[r, c]]), m[r]]
-        hit = np.nonzero(m[:, c])[0]
-        hit = hit[hit != r]
-        if hit.size:
-            m[hit] = sub_t[m[hit], mul_t[m[np.ix_(hit, [c])], m[r][None, :]]]
-        pivots.append(c)
-        r += 1
-    consistent = all(p != ncols for p in pivots)
-    pivot_cols = tuple(p for p in pivots if p != ncols)
-    undetermined = tuple(c for c in range(ncols) if c not in pivot_cols)
-    solution = None
-    if consistent and not undetermined:
-        vals = [0] * ncols
-        for i, c in enumerate(pivot_cols):
-            vals[c] = int(m[i, ncols])
-        solution = [Symbol(v, field) for v in vals]
-    return SolveResult(solution, len(pivot_cols), consistent, pivot_cols, undetermined)
-
-
 def gaussian_solve(a: list[list[Symbol]], b: list[Symbol]) -> SolveResult:
     """Solve A x = b over one field, or report rank and free unknowns."""
     if not a:
@@ -548,7 +507,7 @@ def matrix_rank(field: FieldSpec, rows: list[list[int]]) -> int:
     return len(pivots)
 
 
-# -- batched rank ------------------------------------------------------------
+# -- array kernels on O(q) tables: rank, products, elimination ---------------
 
 # Matrix entries eliminated per lockstep batch: bounds the kernel's
 # temporaries (a few arrays of this many int64) for every field and shape.
@@ -583,16 +542,31 @@ def _rank_tables(p: int, m: int, reduction: tuple[int, ...]) -> tuple[np.ndarray
     return exp, log
 
 
-def _sub(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def array_sub(field: FieldSpec, a, b) -> np.ndarray:
+    """a - b elementwise over the field, for broadcastable integer arrays."""
     p = field.p
     if p == 2:
         return a ^ b
     if field.m == 1:
         return (a - b) % p
-    out = np.zeros_like(a)
+    out = 0
     for i in range(field.m):  # digit-wise mod p
         w = p**i
-        out += (a // w - b // w) % p * w
+        out = out + (a // w - b // w) % p * w
+    return out
+
+
+def _add_reduce(field: FieldSpec, a: np.ndarray, axis: int) -> np.ndarray:
+    """Field sum of the entries of a along one axis."""
+    p = field.p
+    if p == 2:
+        return np.bitwise_xor.reduce(a, axis=axis)
+    if field.m == 1:
+        return a.sum(axis=axis) % p
+    out = 0
+    for i in range(field.m):
+        w = p**i
+        out = out + (a // w % p).sum(axis=axis) % p * w
     return out
 
 
@@ -638,8 +612,61 @@ def batch_rank(field: FieldSpec, mats) -> np.ndarray:
             # log of (entry / pivot) for the unused rows; where a matrix has
             # no pivot their entries in column c are 0, and so are the factors
             factor = np.where(used, zero_log, log[col] + inv_log[:, None])
-            m[:, :, c + 1 :] = _sub(field, m[:, :, c + 1 :], exp[factor[:, :, None] + prow[:, None, 1:]])
+            m[:, :, c + 1 :] = array_sub(field, m[:, :, c + 1 :], exp[factor[:, :, None] + prow[:, None, 1:]])
     return ranks
+
+
+def matmul(field: FieldSpec, a, b) -> np.ndarray:
+    """a @ b over the field, for an (R, C) and a (C, L) array of elements.
+
+    Each product is one lookup in the O(q) tables of batch_rank; a is
+    taken a block of rows at a time, RANK_BATCH_ENTRIES products per
+    block, so temporaries stay small for any shape and any q <= 2**16.
+    """
+    exp, log = _rank_tables(field.p, field.m, field.reduction)
+    la, lb = log[a], log[b]
+    step = rank_batch_len(*lb.shape)
+    if len(la) <= step:
+        return _add_reduce(field, exp[la[:, :, None] + lb[None]], axis=1)
+    blocks = [la[lo : lo + step] for lo in range(0, len(la), step)]
+    return np.concatenate([_add_reduce(field, exp[block[:, :, None] + lb[None]], axis=1) for block in blocks])
+
+
+def eliminate(field: FieldSpec, a, b) -> tuple[int, np.ndarray]:
+    """Gauss-Jordan elimination of [a | b] over the field, with pivots in a only.
+
+    Returns the rank of the (R, C) array a and E @ b for the (R, L) array
+    b, where the row operations E bring a to reduced row echelon form.
+    When a has full column rank its pivots fill rows 0..C-1 in column
+    order, so the first C rows of E @ b solve a x = b, consistent iff the
+    other rows are zero; for b the identity they are a left inverse of a.
+    Each step updates whole rows with lookups in the O(q) tables of
+    batch_rank.
+    """
+    exp, log = _rank_tables(field.p, field.m, field.reduction)
+    a = np.asarray(a, dtype=np.int64)
+    rows, cols = a.shape
+    m = np.concatenate([a, np.asarray(b, dtype=np.int64)], axis=1)
+    zero_log, q1 = int(log[0]), field.q - 1
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        nz = m[rank:, c].nonzero()[0]
+        if not nz.size:
+            continue
+        if nz[0]:
+            m[[rank, rank + nz[0]]] = m[[rank + nz[0], rank]]
+        # logs of the pivot row divided by its pivot; a zero entry's log
+        # stays at or past log 0, so it still indexes the zero pad of exp
+        lrow = log[m[rank]]
+        lrow += q1 - lrow[c]
+        m[rank] = exp[lrow]
+        factor = log[m[:, c]]
+        factor[rank] = zero_log  # the pivot row subtracts zero
+        m = array_sub(field, m, exp[factor[:, None] + lrow])
+        rank += 1
+    return rank, m[:, cols:]
 
 
 def smallest_field_of_order_at_least(n: int) -> FieldSpec:

@@ -14,9 +14,12 @@ is deterministic.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .gf import FieldSpec, Symbol
 
@@ -156,13 +159,9 @@ def write_code_array(array: CodeArray) -> bytes:
         "<5H", array.k, array.n, field.p, field.m, len(field.reduction)
     )
     head += struct.pack(f"<{len(field.reduction)}H", *field.reduction)
-    body = struct.pack(f"<{array.k * array.n}H", *(v for row in array.rows for v in row))
-    bits = [array.erased[i][j] for i in range(array.k) for j in range(array.n)]
-    mask = bytearray((len(bits) + 7) // 8)
-    for idx, bit in enumerate(bits):
-        if bit:
-            mask[idx // 8] |= 1 << (idx % 8)
-    return head + body + bytes(mask)
+    body = struct.pack(f"<{array.k * array.n}H", *itertools.chain.from_iterable(array.rows))
+    mask = np.packbits(np.array(array.erased, dtype=bool).reshape(-1), bitorder="little")
+    return head + body + mask.tobytes()
 
 
 def _need(blob: bytes, off: int, size: int, part: str) -> None:
@@ -182,7 +181,7 @@ def read_code_array(blob: bytes) -> CodeArray:
     _need(blob, off, 2 * red_len, "reduction polynomial")
     reduction = struct.unpack_from(f"<{red_len}H", blob, off)
     off += 2 * red_len
-    field = FieldSpec(p, m, reduction if m > 1 else None)
+    field = FieldSpec(p, m, reduction)
     _need(blob, off, 2 * k * n, "symbols")
     flat = struct.unpack_from(f"<{k * n}H", blob, off)
     off += 2 * k * n
@@ -196,9 +195,6 @@ def read_code_array(blob: bytes) -> CodeArray:
             f"PBDSS1 array has {len(blob) - off - mask_len} trailing bytes after the erasure mask "
             f"(bytes {off + mask_len}..{len(blob)})"
         )
-    mask_bytes = blob[off : off + mask_len]
-    erased = [[False] * n for _ in range(k)]
-    for idx in range(k * n):
-        if mask_bytes[idx // 8] >> (idx % 8) & 1:
-            erased[idx // n][idx % n] = True
-    return CodeArray(field, k, n, rows, erased)
+    mask = np.frombuffer(blob, dtype=np.uint8, count=mask_len, offset=off)
+    erased = np.unpackbits(mask, count=k * n, bitorder="little").astype(bool).reshape(k, n)
+    return CodeArray(field, k, n, rows, erased.tolist())

@@ -9,6 +9,7 @@ sets.  None of it reuses the scheduling logic it is meant to check.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from multiprocessing import Pool
@@ -16,7 +17,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .class_a import ClassASpec
-from .gf import batch_rank, rank_batch_len
+from .gf import batch_rank, eliminate, rank_batch_len
 from .repair import CodeSpec
 
 
@@ -120,21 +121,22 @@ def brute_force_fault_tolerance(code, processes: int = 1, max_t: int | None = No
         raise ValueError("exhaustive search capped at n <= 16")
     forms = _parity_forms(code, generator_rows(code))
     limit = max_t if max_t is not None else n
-    for t in range(1, limit + 1):
-        if processes > 1 and math.comb(n, t) >= 64:
-            shares = [(code, forms, t, i, processes) for i in range(processes)]
-            with Pool(processes) as pool:
+    with contextlib.ExitStack() as stack:
+        pool = None  # opened for the first level with enough patterns to share
+        for t in range(1, limit + 1):
+            if processes > 1 and math.comb(n, t) >= 64:
+                pool = pool or stack.enter_context(Pool(processes))
+                shares = [(code, forms, t, i, processes) for i in range(processes)]
                 ok = all(pool.starmap(_level_decodable, shares))
-        else:
-            ok = _level_decodable(code, forms, t)
-        if not ok:
-            return t - 1
+            else:
+                ok = _level_decodable(code, forms, t)
+            if not ok:
+                return t - 1
     return limit
 
 
 def ml_decode(code, array, pattern) -> dict[int, list[int]]:
     """Generic rank decoder: solve for the data array, re-encode the rest."""
-    from .gf import solve_values_dense
     from .layout import DataArray
     from .repair import encode as encode_full
     from .class_a import UnrecoverableErasureError
@@ -147,16 +149,18 @@ def ml_decode(code, array, pattern) -> dict[int, list[int]]:
         if c in pattern:
             continue
         for i, v in enumerate(col):
-            rows.append([int(x) for x in v])
+            rows.append(v)
             rhs.append(array.rows[i][c])
-    res = solve_values_dense(code.field, rows, rhs)
-    if res.solution is None:
+    rows = np.array(rows, dtype=np.int64).reshape(-1, k * k)
+    rank, solved = eliminate(code.field, rows, np.array(rhs, dtype=np.int64)[:, None])
+    if rank < k * k or solved[k * k :].any():
         raise UnrecoverableErasureError(
             f"pattern {sorted(pattern)} is not ML-decodable",
-            rank=res.rank,
+            rank=rank,
             needed=k * k,
         )
-    data = DataArray(code.field, [[res.solution[i * k + j].value for j in range(k)] for i in range(k)])
+    values = solved[: k * k, 0].tolist()
+    data = DataArray(code.field, [values[i * k : (i + 1) * k] for i in range(k)])
     if isinstance(code, ClassASpec):
         from .class_a import encode_class_a
 

@@ -134,9 +134,9 @@ class CodeSpec:
     def from_json_dict(cls, d: dict) -> "CodeSpec":
         _check_json(d, _SPEC_SCHEMA, "")
         fd = d["field"]
-        if fd["m"] > 1:
+        if fd["m"] > 1 or "reduction" in fd:
             _check_json(fd, {"reduction": [int]}, "field")
-        field = FieldSpec(fd["p"], fd["m"], tuple(fd["reduction"]) if fd["m"] > 1 else None)
+        field = FieldSpec(fd["p"], fd["m"], tuple(fd["reduction"]) if "reduction" in fd else None)
         k = d["k"]
         spec_a = ClassASpec.from_json_dict(d["classA"], field, k)
         spec_b = ClassBSpec.from_json_dict(d["classB"], k, spec_a.tau, spec_a.n_a)
@@ -379,32 +379,15 @@ def repair_parity_node(array: CodeArray, node: int, spec: CodeSpec, counter=None
 
 
 def repair_multi(array: CodeArray, failed, spec: CodeSpec):
-    """Repair any mix of failed nodes.
+    """Repair any mix of failed nodes; returns the columns of `failed`.
 
-    Sum-parity nodes never participate in correction; data and MDS-class
-    failures go through the multi-node decoder, after which every failed
-    parity column is re-encoded from the recovered data.
+    Every node with a masked symbol counts as erased too, so no masked
+    symbol is read.  Sum-parity nodes never participate in correction:
+    the multi-node decoder recovers the data and re-encodes every erased
+    parity column.
     """
     failed = sorted(set(failed))
     if any(not 0 <= x < spec.n for x in failed):
         raise ValueError("failed node index out of range")
-    failed_ab = {x for x in failed if x < spec.n_a}
-    failed_b = [x for x in failed if x >= spec.n_a]
-    columns = {}
-    data_cols = decode_multi_class_a(array, spec.class_a, failed_ab)
-    for node in failed:
-        if node in data_cols:
-            columns[node] = data_cols[node]
-    if failed_b:
-        k = spec.k
-        rows = [[data_cols[j][i] for j in range(k)] for i in range(k)]
-        data = DataArray(spec.field, rows)
-        for node in failed_b:
-            vals = []
-            for par in spec.class_b.node_parities(node):
-                acc = 0
-                for pos in par:
-                    acc = spec.field.add(acc, data[pos])
-                vals.append(acc)
-            columns[node] = vals
-    return columns
+    columns = decode_multi_class_a(array, spec, failed)
+    return {node: columns[node] for node in failed}

@@ -223,3 +223,24 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PBDSS_SEED")
     run(capsys, "encode", "--spec", str(spec_path), "--seed", "42", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_prime_field_reduction_is_checked(tmp_path, capsys):
+    spec_path = tmp_path / "gf11.json"
+    arr_path = tmp_path / "gf11.bin"
+    run(capsys, "construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1",
+        "--field-p", "11", "--out", str(spec_path))
+    run(capsys, "encode", "--spec", str(spec_path), "--seed", "3", "--out", str(arr_path))
+    blob = arr_path.read_bytes()
+    assert blob[16:20] == bytes([0, 0, 1, 0])  # GF(11) stores the reduction (0, 1)
+    arr_path.write_bytes(blob[:16] + bytes([5, 0, 7, 0]) + blob[20:])
+    code, _, err = run(capsys, "repair-sim", "--spec", str(spec_path), "--array", str(arr_path))
+    assert code == 2
+    assert "reduction must be monic" in err
+    doc = json.loads(spec_path.read_text())
+    for reduction, message in (([5, 7], "reduction must be monic"), (["x"], "'field.reduction[0]'")):
+        doc["field"]["reduction"] = reduction
+        spec_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "encode", "--spec", str(spec_path), "--out", str(arr_path))
+        assert code == 2
+        assert message in err

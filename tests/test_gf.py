@@ -16,7 +16,6 @@ from pbdss.gf import (
     matrix_rank,
     smallest_field_of_order_at_least,
     solve_values,
-    solve_values_dense,
     symbol_bits,
 )
 
@@ -266,22 +265,6 @@ def test_solve_roundtrip_random_invertible(p, m):
                 b[i] = f.add(b[i], f.mul(a[i][j], x[j]))
         res = solve_values(f, a, b)
         assert [s.value for s in res.solution] == x
-
-
-def test_dense_solver_matches_reference():
-    rng = random.Random(7)
-    for f in (FieldSpec(2, 3), FieldSpec(3, 2), FieldSpec(13)):
-        for _ in range(60):
-            n, m = rng.randrange(1, 7), rng.randrange(1, 7)
-            a = [[rng.randrange(f.q) for _ in range(m)] for _ in range(n)]
-            b = [rng.randrange(f.q) for _ in range(n)]
-            r1 = solve_values(f, a, b)
-            r2 = solve_values_dense(f, a, b)
-            assert (r1.rank, r1.consistent, r1.pivot_cols) == (r2.rank, r2.consistent, r2.pivot_cols)
-            if r1.solution is None:
-                assert r2.solution is None
-            else:
-                assert [s.value for s in r1.solution] == [s.value for s in r2.solution]
 
 
 def _random_matrix(f, rng, rows, cols):

@@ -110,3 +110,27 @@ def test_code_array_get_erased():
     assert arr.get(0, 0) == 5
     with pytest.raises(ValueError):
         arr.get(0, 1)
+
+
+def test_code_array_mask_bits_little_endian():
+    # bit k*n-order index i lives in byte i // 8 at bit i % 8, as the
+    # format has always written it
+    f = FieldSpec(11)
+    erased = [[(i * 7 + j) % 3 == 0 for j in range(5)] for i in range(4)]
+    blob = write_code_array(CodeArray(f, 4, 5, [[0] * 5] * 4, erased))
+    want = bytearray(3)
+    for idx, bit in enumerate(b for row in erased for b in row):
+        want[idx // 8] |= bit << (idx % 8)
+    assert blob[-3:] == bytes(want)
+    back = read_code_array(blob[:-1] + bytes([blob[-1] | 0xF0]))  # padding bits are ignored
+    assert back.erased == erased
+
+
+def test_prime_field_reduction_is_checked():
+    blob = write_code_array(CodeArray(FieldSpec(11), 1, 2, [[5, 6]], [[False, True]]))
+    # 16-byte header, then the reduction (0, 1) of GF(11) as two u16
+    assert blob[16:20] == bytes([0, 0, 1, 0])
+    assert read_code_array(blob).field == FieldSpec(11)
+    bad = blob[:16] + bytes([5, 0, 7, 0]) + blob[20:]
+    with pytest.raises(ValueError, match="monic"):
+        read_code_array(bad)
