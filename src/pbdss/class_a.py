@@ -28,18 +28,11 @@ from .gf import (
     solve_values,
 )
 from .layout import CodeArray, DataArray, mod_k
+from .plan import RepairPlan, positions, replay
+from .plan import UnrecoverableErasureError  # raised by replay; callers import it from here
 
 EXHAUSTIVE_SUBMATRIX_LIMIT = 10**5
 RANDOM_SUBMATRIX_TRIALS = 10**4
-
-
-class UnrecoverableErasureError(ValueError):
-    """The erasure pattern exceeds what the code can correct."""
-
-    def __init__(self, message: str, rank: int | None = None, needed: int | None = None):
-        super().__init__(message)
-        self.rank = rank
-        self.needed = needed
 
 
 @dataclass(frozen=True)
@@ -218,33 +211,19 @@ class ClassASpec:
         return cls(field, d["nA"], k, d["tau"], tuple(tuple(r) for r in d["alpha"]))
 
 
-def encode_class_a(data: DataArray, spec: ClassASpec, counter=None) -> list[list[int]]:
-    """k x (n_a - k) parity block: plain MDS columns then piggybacked ones."""
+def encode_class_a(data: DataArray, spec: ClassASpec) -> list[list[int]]:
+    """k x (n_a - k) parity block: plain MDS columns then piggybacked ones.
+
+    The class-A rows of the generator, applied to the data in one product.
+    """
     if data.field != spec.field:
         raise ValueError("data array and spec use different fields")
     if data.k != spec.k:
         raise ValueError("data array dimension does not match spec")
-    f = spec.field
     k = spec.k
-    parities = []
-    for i in range(k):
-        row = []
-        for j in range(k, spec.n_a):
-            acc = 0
-            for l in range(k):
-                acc = f.add(acc, f.mul(spec.alpha[l][j - k], data.rows[i][l]))
-            if counter is not None:
-                counter.muls += k
-                counter.adds += k - 1
-            row.append(acc)
-        parities.append(row)
-    for u in spec.piggybacked_columns:
-        for i in range(k):
-            src = spec.piggyback_source(i, u)
-            parities[i][u - k] = f.add(parities[i][u - k], data[src])
-            if counter is not None:
-                counter.adds += 1
-    return parities
+    forms = _generator(_interned(spec))[k:].reshape(-1, k * k)
+    parities = matmul(spec.field, forms, np.array(data.rows, dtype=np.int64).T.reshape(-1, 1))
+    return parities.reshape(spec.n_a - k, k).T.tolist()
 
 
 def _available_run_start(k: int, alive_data: set[int], length: int) -> int | None:
@@ -263,8 +242,8 @@ def _available_run_start(k: int, alive_data: set[int], length: int) -> int | Non
 PLAN_CACHE_SIZE = sum(math.comb(16, t) for t in range(1, 4))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class DecodePlan:
+@dataclass(frozen=True, eq=False)
+class DecodePlan(RepairPlan):
     """The decode of one erasure pattern, as a GF(q) linear map.
 
     Row s * k + i of `matrix` gives symbol i of node nodes[s] as a
@@ -274,10 +253,8 @@ class DecodePlan:
     k^2 data symbols.
     """
 
-    nodes: tuple[int, ...]
-    slots: np.ndarray
-    matrix: np.ndarray | None
-    rank: int
+    nodes: tuple[int, ...] = ()
+    slots: np.ndarray | None = None
 
 
 def _compact(field: FieldSpec):
@@ -426,9 +403,23 @@ def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
     the pattern; each erased parity symbol is its generator form over
     the data, with every lost data symbol replaced by its own form.
     """
-    spec, _ = _split(code)
+    spec, n = _split(code)
     f, k = spec.field, spec.k
     compact = _compact(f)
+    at = positions(n, k)
+
+    def plan(slots: list[int], matrix, rank: int) -> DecodePlan:
+        return DecodePlan(
+            f,
+            tuple(at[node][row] for node in slots for row in range(k)),
+            matrix,
+            error=f"erasure pattern {[j for j in erased if j < spec.n_a]} is not decodable",
+            rank=rank,
+            needed=k * k,
+            nodes=erased,
+            slots=np.array(slots, dtype=compact),
+        )
+
     lost_nodes = set(erased)
     failed = [j for j in erased if j < k]
     alive = [j for j in range(k) if j not in lost_nodes]
@@ -442,7 +433,7 @@ def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
             spec, gen, failed, alive, lost_nodes
         )
         if isinstance(found, int):
-            return DecodePlan(erased, np.array(alive, dtype=compact), None, found)
+            return plan(alive, None, found)
         slots, lost = found
         if len(forms):
             direct = np.zeros((len(forms), lost.shape[1]), dtype=np.int64)
@@ -450,7 +441,7 @@ def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
             through = matmul(f, array_sub(f, 0, _over(forms, failed)), lost)
             lost = np.concatenate([lost, array_sub(f, direct, through)])
         matrix = lost
-    return DecodePlan(erased, np.array(slots, dtype=compact), matrix.astype(compact), k * k)
+    return plan(slots, matrix.astype(compact), k * k)
 
 
 def decode_multi_class_a(
@@ -464,26 +455,17 @@ def decode_multi_class_a(
     never take part in correction, are then re-encoded too.  The erased
     nodes are `erased_nodes` plus every node with a masked symbol, so no
     masked symbol is ever read.  The pattern's DecodePlan, compiled once
-    and cached, is replayed as one matrix-vector product over the
-    symbols it reads.
+    and cached, is replayed by plan.replay over the symbols it reads.
     """
     spec, n = _split(code)
     k = spec.k
     erased = set(erased_nodes or ())
     if any(not 0 <= j < n for j in erased):
         raise ValueError("erased node index outside the code")
-    for row in array.erased:
-        erased.update(itertools.compress(range(n), row))
+    erased |= array.erased_nodes()
     plan = decode_plan(_interned(code), tuple(sorted(erased)))
-    if plan.matrix is None:
-        raise UnrecoverableErasureError(
-            f"erasure pattern {[j for j in plan.nodes if j < spec.n_a]} is not decodable",
-            rank=plan.rank,
-            needed=k * k,
-        )
     columns = {j: [row[j] for row in array.rows] for j in range(k) if j not in erased}
     if plan.nodes:
-        reads = np.array(array.rows, dtype=np.int64)[:, plan.slots].T.ravel()
-        values = matmul(spec.field, plan.matrix, reads[:, None]).reshape(len(plan.nodes), k)
-        columns.update(zip(plan.nodes, values.tolist()))
+        values = replay(plan, array.rows)
+        columns.update(zip(plan.nodes, values.reshape(len(plan.nodes), k).tolist()))
     return columns

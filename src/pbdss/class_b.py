@@ -59,6 +59,12 @@ class ClassBSpec:
                     raise ValueError("duplicate position inside one parity")
                 if any(len(pos) != 2 or not all(0 <= x < self.k for x in pos) for pos in par):
                     raise ValueError(f"parity position outside the {self.k} x {self.k} data array")
+        # hashed by every plan lookup of its code: once, outside the fields
+        fields = (self.k, self.tau, self.n_a, self.n_b, self.construction, self.parities)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

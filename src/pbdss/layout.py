@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import FieldSpec, Symbol
+from .gf import FieldSpec
 
 Position = tuple[int, int]
 
@@ -65,11 +65,6 @@ def in_q_set(pos: Position, k: int, tau: int) -> bool:
     return mod_k(i - j, k) > tau
 
 
-def q_column(pos: Position) -> int:
-    """Column j such that pos is in Q_j (its own column)."""
-    return pos[1]
-
-
 @dataclass
 class DataArray:
     """k x k matrix of field-element values, entry d[i][j] at row i, col j."""
@@ -91,9 +86,6 @@ class DataArray:
 
     def __getitem__(self, pos: Position) -> int:
         return self.rows[pos[0]][pos[1]]
-
-    def symbol(self, i: int, j: int) -> Symbol:
-        return Symbol(self.rows[i][j], self.field)
 
     @classmethod
     def random(cls, field: FieldSpec, k: int, rng) -> "DataArray":
@@ -128,6 +120,10 @@ class CodeArray:
         if self.erased[row][node]:
             raise ValueError(f"symbol ({row}, {node}) is erased")
         return self.rows[row][node]
+
+    def erased_nodes(self) -> set[int]:
+        """Every node with at least one masked symbol."""
+        return set(itertools.compress(range(self.n), map(any, zip(*self.erased))))
 
     def erase_nodes(self, nodes) -> None:
         for node in nodes:

@@ -1,57 +1,32 @@
-"""Repair schedules with exact read and cache accounting.
+"""Repair schedules, compiled into plans, with exact read and cache accounting.
 
 A repair session reads symbols one at a time; everything read or repaired
 stays cached for the rest of the session, and a cached position is never
-read again.  The per-node bandwidth figures all come from the ReadTrace
-produced here, never from closed forms.
+read again.  A schedule does the same arithmetic whatever the data, so it
+runs once per (code, target node, erased-node set), on symbolic stages,
+and is compiled into a RepairPlan that plan.execute replays.  The
+per-node bandwidth figures all come from the ReadTrace of that plan, and
+the operation counts from its stages, never from closed forms.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .class_a import ClassASpec, UnrecoverableErasureError, decode_multi_class_a, encode_class_a
+import numpy as np
+
+from .class_a import ClassASpec, _compact, _interned, decode_multi_class_a, decode_plan
 from .class_b import ClassBSpec, construct1_parities, construct2_parities
 from .gf import FieldSpec
-from .layout import CodeArray, DataArray, q_set, r_set
+from .layout import CodeArray, DataArray, q_set
+from .plan import NodePos, ReadTrace, RepairPlan, Stage, execute, positions
 
-NodePos = tuple[int, int]  # (node, row)
-
-
-@dataclass
-class ReadTrace:
-    """Ordered log of (node, row) reads plus the session cache."""
-
-    reads: list[NodePos] = dc_field(default_factory=list)
-    cache: set[NodePos] = dc_field(default_factory=set)
-    per_symbol: dict[NodePos, int] = dc_field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return len(self.reads)
-
-    def read(self, node: int, row: int) -> int:
-        """Read one symbol unless cached; returns 1 if a read was issued."""
-        pos = (node, row)
-        if pos in self.cache:
-            return 0
-        self.reads.append(pos)
-        self.cache.add(pos)
-        return 1
-
-    def mark_repaired(self, node: int, row: int) -> None:
-        self.cache.add((node, row))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "reads": [list(p) for p in self.reads],
-            "perSymbol": {f"{n}:{r}": c for (n, r), c in self.per_symbol.items()},
-            "total": self.total,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+# Plans are cached by value.  The bound holds the unmasked plans (one per
+# node, plus encode) of as many codes as class_a._interned keeps, 16, at up
+# to 31 nodes each: n <= 3k - tau - 2 reaches 31 at k = 11.
+REPAIR_PLAN_CACHE_SIZE = 16 * 32
 
 
 @dataclass(frozen=True)
@@ -68,6 +43,11 @@ class CodeSpec:
             raise ValueError("class A spec uses a different field")
         if (a.k, a.tau, a.n_a) != (b.k, b.tau, b.n_a):
             raise ValueError("class A and class B shapes disagree")
+        # every plan lookup hashes the spec: hash it once, outside the fields
+        object.__setattr__(self, "_hash", hash((self.field, a, b)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def k(self) -> int:
@@ -177,21 +157,19 @@ def _check_json(value, schema, where: str) -> None:
 
 
 def encode(spec: CodeSpec, data: DataArray, counter=None) -> CodeArray:
-    """Systematic columns, then MDS/piggyback parities, then sum parities."""
+    """Systematic columns, then MDS/piggyback parities, then sum parities.
+
+    Replays the encode plan: every parity symbol from the data.
+    """
+    if data.field != spec.field:
+        raise ValueError("data array and spec use different fields")
+    if data.k != spec.k:
+        raise ValueError("data array dimension does not match spec")
     k, n = spec.k, spec.n
-    a_par = encode_class_a(data, spec.class_a, counter)
-    rows = [list(data.rows[i]) + a_par[i] + [0] * (spec.n_b - k) for i in range(k)]
-    f = spec.field
-    for off, node in enumerate(spec.class_b.parities):
-        for t, par in enumerate(node):
-            acc = 0
-            for pos in par:
-                acc = f.add(acc, data[pos])
-            if counter is not None and par:
-                counter.adds += len(par) - 1
-            rows[t][spec.n_a + off] = acc
-    erased = [[False] * n for _ in range(k)]
-    return CodeArray(f, k, n, rows, erased)
+    parities, _ = execute(repair_plan(_interned(spec), None, ()), data.rows, counter)
+    columns = parities.reshape(n - k, k).T.tolist()
+    rows = [data.rows[i] + columns[i] for i in range(k)]
+    return CodeArray(spec.field, k, n, rows, [[False] * n for _ in range(k)])
 
 
 def puncture(spec: CodeSpec, count: int) -> CodeSpec:
@@ -207,31 +185,202 @@ def puncture(spec: CodeSpec, count: int) -> CodeSpec:
     return CodeSpec(spec.field, spec.class_a, new_b)
 
 
-def _solve_row_mds(spec: CodeSpec, trace: ReadTrace, array: CodeArray, row: int,
-                   target_col: int, known: dict[int, int] | None = None, counter=None) -> int:
-    """Recover one data symbol from its row and the first MDS parity.
+class _ReadsErased(Exception):
+    """The schedule would read a symbol of an erased node."""
 
-    Reads the k-1 sibling data symbols (cyclic order from row+1) and the
-    parity, then isolates the target: k multiplications, k-1 additions.
-    `known` supplies values for columns that are erased but already
-    repaired this session.
+
+class _Session:
+    """One repair session run on symbols: its stages and its read trace.
+
+    In a data-node session every recovered symbol joins the cache and
+    counts the reads it issued; in a parity-node session (or encode) each
+    symbol is an independent download and counts every term it takes.
     """
-    f, k = spec.field, spec.k
-    for off in range(1, k + 1):
-        col = (row + off) % k
-        if col != target_col:
-            trace.read(col, row)
-    trace.read(k, row)
-    acc = array.rows[row][k]
-    for l in range(k):
-        if l != target_col:
-            val = known[l] if known and l in known else array.rows[row][l]
-            acc = f.sub(acc, f.mul(spec.class_a.alpha[l][0], val))
-    value = f.mul(f.inv(spec.class_a.alpha[target_col][0]), acc)
-    if counter is not None:
-        counter.muls += k
-        counter.adds += k - 1
-    return value
+
+    def __init__(self, spec: CodeSpec, erased, independent: bool):
+        self.spec, self.f = spec, spec.field
+        self.at = positions(spec.n, spec.k)
+        self.erased = erased
+        self.independent = independent
+        self.trace = ReadTrace()
+        self.stages: list[Stage] = []
+
+    def stage(self, kind: str, symbol: NodePos, parity: NodePos | None, coeffs, sources, adds: int,
+              muls: int) -> None:
+        trace = self.trace
+        reads, hits = [], []
+        for pos in sources:
+            if pos in trace.cache:
+                hits.append(pos)
+            elif pos[0] in self.erased:
+                raise _ReadsErased
+            else:
+                trace.reads.append(pos)
+                trace.cache.add(pos)
+                reads.append(pos)
+        self.stages.append(Stage(kind, symbol, parity, tuple(coeffs), tuple(sources), tuple(reads),
+                                 tuple(hits), adds, muls))
+        if self.independent:
+            trace.per_symbol[symbol] = len(sources)
+        else:
+            trace.cache.add(symbol)
+            trace.per_symbol[symbol] = len(reads)
+
+    def row_mds(self, kind: str, row: int, col: int) -> None:
+        """d[row][col] from its row and the first MDS parity: the k-1
+        siblings in cyclic order from row+1, then the parity."""
+        f, k, at = self.f, self.spec.k, self.at
+        alpha = [a[0] for a in self.spec.class_a.alpha]
+        inv = f.inv(alpha[col])
+        siblings = [c for c in ((row + off) % k for off in range(1, k + 1)) if c != col]
+        coeffs = [f.neg(f.mul(inv, alpha[c])) for c in siblings] + [inv]
+        sources = [at[c][row] for c in siblings] + [at[k][row]]
+        self.stage(kind, at[col][row], at[k][row], coeffs, sources, k - 1, k)
+
+    def via_sum_parity(self, i: int, j: int) -> bool:
+        """d[i][j] through the covering sum parity with the fewest uncached
+        reads (ties: largest node, then smallest parity index); False when
+        every covering parity still needs an unrepaired column-j symbol."""
+        b, cache, at = self.spec.class_b, self.trace.cache, self.at
+        candidates = []
+        for node, t in b.covering_parities((i, j)):
+            cost = 0 if (node, t) in cache else 1
+            for r, c in b.node_parities(node)[t]:
+                if (r, c) == (i, j) or (c, r) in cache:
+                    continue
+                if c == j:  # sits in the failed column and is not repaired yet
+                    break
+                cost += 1
+            else:
+                candidates.append((cost, -node, t))
+        if not candidates:
+            return False
+        _, neg_node, t = min(candidates)
+        node = -neg_node
+        others = [at[c][r] for r, c in b.node_parities(node)[t] if (r, c) != (i, j)]
+        minus = self.f.neg(1)
+        self.stage("sum", at[j][i], at[node][t], [1] + [minus] * len(others), [at[node][t]] + others,
+                   len(others), 0)
+        return True
+
+    def data_node(self, j: int) -> None:
+        """The two-stage schedule of repair_data_node; sum-parity repairs
+        that must wait for another column-j symbol get a second pass."""
+        spec, f, k, at = self.spec, self.f, self.spec.k, self.at
+        self.row_mds("row-mds", j, j)
+        for u in spec.class_a.piggybacked_columns:
+            pig_row = spec.class_a.piggyback_source(j, u)[0]
+            coeffs = [1] + [f.neg(a[u - k]) for a in spec.class_a.alpha]
+            sources = [at[u][j]] + [at[l][j] for l in range(k)]
+            self.stage("piggyback", at[j][pig_row], at[u][j], coeffs, sources, k, k)
+        deferred = [i for i, _ in q_set(j, k, spec.tau)]
+        for _ in range(2):
+            deferred = [i for i in deferred if not self.via_sum_parity(i, j)]
+        for i in deferred:
+            self.row_mds("fallback", i, j)
+
+    def parity_node(self, node: int) -> None:
+        """Every symbol of a parity node from the data it combines: k
+        alpha-terms for an MDS parity, plus its piggyback, or the terms of
+        a sum parity."""
+        spec, k, n_a, at = self.spec, self.spec.k, self.spec.n_a, self.at
+        if node >= n_a:
+            for t, par in enumerate(spec.class_b.node_parities(node)):
+                self.stage("sum-parity", at[node][t], None, [1] * len(par), [at[c][r] for r, c in par],
+                           max(len(par) - 1, 0), 0)
+            return
+        for i in range(k):
+            coeffs = [a[node - k] for a in spec.class_a.alpha]
+            sources = [at[l][i] for l in range(k)]
+            if node >= n_a - spec.tau:
+                r, c = spec.class_a.piggyback_source(i, node)
+                coeffs.append(1)
+                sources.append(at[c][r])
+            self.stage("mds-parity", at[node][i], None, coeffs, sources, len(sources) - 1, k)
+
+    def plan(self) -> RepairPlan:
+        """Compose the stages into one matrix from the reads to the outputs.
+
+        Each output is a sparse form over the reads: a stored source
+        contributes its read, a source that an earlier stage recovered
+        contributes that stage's form.  Matrix rows follow the (node, row)
+        order of the outputs.
+        """
+        f, trace = self.f, self.trace
+        reads = tuple(trace.reads)
+        col = {pos: t for t, pos in enumerate(reads)}
+        forms: dict[NodePos, dict[int, int]] = {}
+        for st in self.stages:
+            form: dict[int, int] = {}
+            for coeff, pos in zip(st.coeffs, st.sources):
+                source = forms[pos] if pos in forms else {col[pos]: 1}
+                for t, c in source.items():
+                    c = coeff if c == 1 else f.mul(coeff, c)
+                    form[t] = f.add(form[t], c) if t in form else c
+            forms[st.symbol] = form
+        rows, cols, values = [], [], []
+        for s, symbol in enumerate(sorted(forms)):
+            rows += [s] * len(forms[symbol])
+            cols += forms[symbol]
+            values += forms[symbol].values()
+        matrix = np.zeros((len(forms), len(reads)), dtype=_compact(f))
+        matrix[rows, cols] = values
+        return RepairPlan(
+            f,
+            reads,
+            matrix,
+            tuple(self.stages),
+            tuple(trace.per_symbol.items()),
+            frozenset(trace.cache),
+        )
+
+
+def _escalate(spec: CodeSpec, node: int, erased: tuple[int, ...]) -> RepairPlan:
+    """The target's rows of the decode plan of erased + target, as one
+    decode stage per symbol over the symbols those rows use."""
+    k = spec.k
+    decode = decode_plan(spec, tuple(sorted((*erased, node))))
+    if decode.matrix is None:
+        return RepairPlan(spec.field, (), None, error=decode.error, rank=decode.rank, needed=decode.needed)
+    s = decode.nodes.index(node)
+    rows = decode.matrix[s * k : (s + 1) * k].tolist()
+    session = _Session(spec, (), independent=node >= k)
+    for i, row in enumerate(rows):
+        used = [t for t, c in enumerate(row) if c]
+        session.stage("decode", session.at[node][i], None, [row[t] for t in used],
+                      [decode.reads[t] for t in used], max(len(used) - 1, 0), len(used))
+    return session.plan()
+
+
+@functools.lru_cache(maxsize=REPAIR_PLAN_CACHE_SIZE)
+def repair_plan(code: CodeSpec, node: int | None, erased: tuple[int, ...]) -> RepairPlan:
+    """Compile the repair of `node` with `erased` (sorted) lost too; cached by value.
+
+    `node` None compiles encode: every parity symbol from the data.  A
+    schedule that would read a symbol of an erased node escalates to the
+    decode plan of the erased nodes plus the target, whose matrix is None
+    (replay raises UnrecoverableErasureError) exactly when the class-A
+    part of that pattern is not decodable.
+    """
+    session = _Session(code, set(erased), independent=node is None or node >= code.k)
+    try:
+        if node is None:
+            for c in range(code.k, code.n):
+                session.parity_node(c)
+        elif node < code.k:
+            session.data_node(node)
+        else:
+            session.parity_node(node)
+    except _ReadsErased:
+        return _escalate(code, node, erased)
+    return session.plan()
+
+
+def _repair(array: CodeArray, node: int, spec: CodeSpec, counter):
+    erased = array.erased_nodes()
+    erased.discard(node)
+    values, trace = execute(repair_plan(_interned(spec), node, tuple(sorted(erased))), array.rows, counter)
+    return values[:, 0].tolist(), trace
 
 
 def repair_data_node(array: CodeArray, j: int, spec: CodeSpec, counter=None):
@@ -243,93 +392,14 @@ def repair_data_node(array: CodeArray, j: int, spec: CodeSpec, counter=None):
     symbol the parity with the fewest uncached reads (ties: largest node,
     then smallest parity index).  Symbols no parity covers fall back to a
     plain MDS repair at up to k reads.
+
+    Every other node with a masked symbol counts as erased, and is never
+    read (see repair_plan).  Returns the column and the ReadTrace; the
+    field-operation counts of the plan's stages go to `counter`.
     """
-    k, n_a, tau, f = spec.k, spec.n_a, spec.tau, spec.field
-    if not 0 <= j < k:
+    if not 0 <= j < spec.k:
         raise ValueError(f"data node index {j} out of range")
-    trace = ReadTrace()
-    recovered: dict[int, int] = {}
-    known_row_j = {l: array.rows[j][l] for l in range(k) if l != j}
-
-    before = trace.total
-    value = _solve_row_mds(spec, trace, array, j, j, counter=counter)
-    recovered[j] = value
-    known_row_j[j] = value
-    trace.mark_repaired(j, j)
-    trace.per_symbol[(j, j)] = trace.total - before
-
-    for u in spec.class_a.piggybacked_columns:
-        before = trace.total
-        trace.read(u, j)
-        acc = 0
-        for l in range(k):
-            acc = f.add(acc, f.mul(spec.class_a.alpha[l][u - k], known_row_j[l]))
-        pig_row = spec.class_a.piggyback_source(j, u)[0]
-        recovered[pig_row] = f.sub(array.rows[j][u], acc)
-        trace.mark_repaired(j, pig_row)
-        if counter is not None:
-            counter.muls += k
-            counter.adds += k
-        trace.per_symbol[(j, pig_row)] = trace.total - before
-
-    pending = [pos[0] for pos in q_set(j, k, tau)]
-    deferred: list[int] = []
-    for passno in range(2):
-        queue, deferred = (pending, []) if passno == 0 else (deferred, [])
-        for i in queue:
-            outcome = _repair_via_class_b(array, spec, trace, recovered, i, j, counter)
-            if outcome == "defer":
-                deferred.append(i)
-    for i in deferred:
-        before = trace.total
-        recovered[i] = _solve_row_mds(spec, trace, array, i, j, counter=counter)
-        trace.mark_repaired(j, i)
-        trace.per_symbol[(j, i)] = trace.total - before
-
-    column = [recovered[i] for i in range(k)]
-    return column, trace
-
-
-def _repair_via_class_b(array, spec, trace, recovered, i, j, counter):
-    """Try to repair d[i][j] through a covering sum parity; returns
-    "done" or "defer" (no usable parity right now)."""
-    f = spec.field
-    candidates = []
-    for node, t in spec.class_b.covering_parities((i, j)):
-        par = spec.class_b.node_parities(node)[t]
-        cost = 0 if (node, t) in trace.cache else 1
-        usable = True
-        for (r, c) in par:
-            if (r, c) == (i, j):
-                continue
-            if (c, r) in trace.cache:
-                continue
-            if c == j:  # sits in the failed column and is not repaired yet
-                usable = False
-                break
-            cost += 1
-        if usable:
-            candidates.append((cost, -node, t))
-    if not candidates:
-        return "defer"
-    _, neg_node, t = min(candidates)
-    node = -neg_node
-    par = spec.class_b.node_parities(node)[t]
-    before = trace.total
-    trace.read(node, t)
-    acc = array.rows[t][node]
-    for (r, c) in par:
-        if (r, c) == (i, j):
-            continue
-        trace.read(c, r)
-        val = recovered[r] if c == j else array.rows[r][c]
-        acc = f.sub(acc, val)
-    if counter is not None:
-        counter.adds += len(par) - 1
-    recovered[i] = acc
-    trace.mark_repaired(j, i)
-    trace.per_symbol[(j, i)] = trace.total - before
-    return "done"
+    return _repair(array, j, spec, counter)
 
 
 def repair_parity_node(array: CodeArray, node: int, spec: CodeSpec, counter=None):
@@ -340,42 +410,9 @@ def repair_parity_node(array: CodeArray, node: int, spec: CodeSpec, counter=None
     parity.  per_symbol carries those independent counts; the read list
     still never repeats a position.
     """
-    k, n_a, f = spec.k, spec.n_a, spec.field
     if not spec.k <= node < spec.n:
         raise ValueError(f"parity node index {node} out of range")
-    trace = ReadTrace()
-    column = []
-    if node < n_a:
-        for i in range(k):
-            count = 0
-            acc = 0
-            for l in range(k):
-                count += 1
-                trace.read(l, i)
-                acc = f.add(acc, f.mul(spec.class_a.alpha[l][node - k], array.rows[i][l]))
-            if counter is not None:
-                counter.muls += k
-                counter.adds += k - 1
-            if node >= n_a - spec.tau:
-                r, c = spec.class_a.piggyback_source(i, node)
-                count += 1
-                trace.read(c, r)
-                acc = f.add(acc, array.rows[r][c])
-                if counter is not None:
-                    counter.adds += 1
-            column.append(acc)
-            trace.per_symbol[(node, i)] = count
-    else:
-        for t, par in enumerate(spec.class_b.node_parities(node)):
-            acc = 0
-            for (r, c) in par:
-                trace.read(c, r)
-                acc = f.add(acc, array.rows[r][c])
-            if counter is not None and par:
-                counter.adds += len(par) - 1
-            column.append(acc)
-            trace.per_symbol[(node, t)] = len(par)
-    return column, trace
+    return _repair(array, node, spec, counter)
 
 
 def repair_multi(array: CodeArray, failed, spec: CodeSpec):

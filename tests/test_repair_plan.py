@@ -1,0 +1,270 @@
+"""Compiled single-node repair and encode plans, and the executor that replays them.
+
+A plan is checked against the data it must restore under random erasure
+masks (oracle.ml_decodable decides which patterns must raise), stage by
+stage against scalar FieldSpec arithmetic, at L = 4096 lanes against
+L = 1, against the generator, and through its bounded cache.
+"""
+
+import dataclasses
+import functools
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pbdss.class_a import ClassASpec, UnrecoverableErasureError, _generator, _interned, fault_tolerance
+from pbdss.class_b import construct1_parities, construct2_parities
+from pbdss.gf import FieldSpec
+from pbdss.layout import CodeArray, DataArray
+from pbdss.metrics import OpCounter
+from pbdss.oracle import ml_decodable
+from pbdss.plan import execute, replay
+from pbdss.repair import (
+    REPAIR_PLAN_CACHE_SIZE,
+    CodeSpec,
+    encode,
+    repair_data_node,
+    repair_parity_node,
+    repair_plan,
+)
+
+
+def _repair(array, node, code, counter=None):
+    fn = repair_data_node if node < code.k else repair_parity_node
+    return fn(array, node, code, counter)
+
+
+def _masked(code, stored, lost, rng):
+    """`stored` with the nodes in `lost` masked and their symbols overwritten."""
+    rows = [[rng.randrange(code.field.q) if c in lost else v for c, v in enumerate(row)] for row in stored.rows]
+    mask = [[c in lost for c in range(code.n)] for _ in range(code.k)]
+    return CodeArray(code.field, code.k, code.n, rows, mask)
+
+
+# -- erasure masks -------------------------------------------------------------
+
+# (k, n_a, n_b, tau) per field
+MASK_SHAPES = {
+    (2, 3): (5, 7, 8, 1),
+    (3, 2): (5, 8, 6, 1),
+    (11, 1): (5, 9, 7, 2),
+    (2, 8): (9, 12, 11, 2),
+}
+
+
+@functools.cache
+def _code(field):
+    k, n_a, n_b, tau = MASK_SHAPES[field]
+    return CodeSpec.build(k, n_a, n_b, tau, field=FieldSpec(*field))
+
+
+@st.composite
+def _mask_cases(draw):
+    code = _code(draw(st.sampled_from(sorted(MASK_SHAPES))))
+    f = fault_tolerance(code.n_a, code.k, code.tau).f
+    target = draw(st.integers(0, code.n - 1))
+    others = draw(st.lists(st.integers(0, code.n - 1).filter(lambda x: x != target),
+                           min_size=1, max_size=f, unique=True))
+    return code, target, sorted(others), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_mask_cases())
+def test_masked_repair_never_reads_a_masked_symbol(case):
+    code, target, others, seed = case
+    rng = random.Random(seed)
+    stored = encode(code, DataArray.random(code.field, code.k, rng))
+    lost = {target, *others}
+    array = _masked(code, stored, lost, rng)
+    pattern = sorted(x for x in lost if x < code.n_a)
+    if not ml_decodable(code.class_a, pattern):
+        with pytest.raises(UnrecoverableErasureError) as exc:
+            _repair(array, target, code)
+        assert str(exc.value) == f"erasure pattern {pattern} is not decodable"
+        assert exc.value.needed == code.k**2
+        return
+    column, trace = _repair(array, target, code)
+    assert not {node for node, _ in trace.reads} & lost
+    assert column == [row[target] for row in stored.rows]
+    assert len(set(trace.reads)) == trace.total
+    if target < code.k:  # a data-node session counts each read once
+        assert sum(trace.per_symbol.values()) == trace.total
+
+
+def test_masked_neighbour_escalates_to_decode(spec_10_5):
+    # nodes 0 and 1 lost and zeroed: the schedule for node 0 would read
+    # node 1, so the repair decodes both instead
+    data = DataArray.random(spec_10_5.field, 5, random.Random(3))
+    array = encode(spec_10_5, data)
+    array.erase_nodes([0, 1])
+    for row in array.rows:
+        row[0] = row[1] = 0
+    counter = OpCounter()
+    column, trace = repair_data_node(array, 0, spec_10_5, counter)
+    assert column == [row[0] for row in data.rows]
+    assert all(node not in (0, 1) for node, _ in trace.reads)
+    plan = repair_plan(_interned(spec_10_5), 0, (1,))
+    assert {s.kind for s in plan.stages} == {"decode"}
+    counts = (sum(s.adds for s in plan.stages), sum(s.muls for s in plan.stages))
+    assert (counter.adds, counter.muls) == counts != (0, 0)
+    array.erase_nodes([2])  # three data nodes of a code with f = 2
+    with pytest.raises(UnrecoverableErasureError) as exc:
+        repair_data_node(array, 0, spec_10_5)
+    assert (str(exc.value), exc.value.rank, exc.value.needed) == (
+        "erasure pattern [0, 1, 2] is not decodable", 20, 25)
+
+
+def test_masked_unused_node_keeps_the_schedule(spec_9_5):
+    # masking a parity node that the schedule never reads (here the second
+    # MDS parity) changes nothing
+    data = DataArray.random(spec_9_5.field, 5, random.Random(4))
+    array = encode(spec_9_5, data)
+    _, plain = repair_data_node(array, 0, spec_9_5)
+    unused = sorted(set(range(5, spec_9_5.n)) - {node for node, _ in plain.reads})
+    assert unused == [6]
+    array.erase_nodes(unused)
+    column, trace = repair_data_node(array, 0, spec_9_5)
+    assert column == [row[0] for row in data.rows]
+    assert trace.reads == plain.reads and trace.per_symbol == plain.per_symbol
+
+
+# -- stages, lanes and the generator --------------------------------------------
+
+
+def _scalar_replay(f, plan, rows):
+    """Each stage in order with FieldSpec arithmetic; outputs in (node, row) order."""
+    values = {}
+    for stage in plan.stages:
+        acc = 0
+        for coeff, (node, row) in zip(stage.coeffs, stage.sources):
+            acc = f.add(acc, f.mul(coeff, values[node, row] if (node, row) in values else rows[row][node]))
+        values[stage.symbol] = acc
+    return [values[pos] for pos in sorted(values)]
+
+
+def _criterion_5_codes():
+    """Both constructions of every (k, n_a, tau) of the criterion-5 sweep."""
+    for k in range(4, 9):
+        for n_a in range(k + 2, min(k + 4, 2 * k - 1) + 1):
+            for tau in range(1, n_a - k):
+                spec_a = ClassASpec.build(n_a, k, tau)
+                for build in (construct1_parities, construct2_parities):
+                    yield CodeSpec(spec_a.field, spec_a, build(k, n_a, 2 * k - tau - 1, tau))
+
+
+def test_stage_replay_equals_composed_matrix():
+    rng = random.Random(17)
+    codes = list(_criterion_5_codes())
+    checked = 0
+    for code in codes:
+        k, n, f = code.k, code.n, code.field
+        stripes = [encode(code, DataArray.random(f, k, rng)).rows for _ in range(20)]
+        block = np.array(stripes, dtype=np.int64).transpose(1, 2, 0)  # (k, n, 20)
+        for node in [None, *range(n)]:
+            plan = repair_plan(_interned(code), node, ())
+            composed = replay(plan, block)
+            for lane, rows in enumerate(stripes):
+                assert _scalar_replay(f, plan, rows) == composed[:, lane].tolist(), (code, node, lane)
+            if node is not None:
+                assert (composed == block[:, node]).all(), (code, node)
+            checked += 1
+    assert len(codes) == 54 and checked == sum(code.n + 1 for code in codes)
+
+
+STRIPE_SHAPES = [  # (k, n_a, n_b, tau, construction, (p, m))
+    (5, 7, 8, 1, 1, (2, 3)),
+    (5, 8, 6, 1, 1, (3, 2)),
+    (7, 10, 8, 2, 1, (11, 1)),
+    (9, 12, 11, 2, 1, (13, 1)),
+    (9, 12, 11, 2, 1, (2, 8)),
+    (10, 15, 11, 4, 2, (2, 8)),
+]
+
+
+@pytest.mark.parametrize("shape", STRIPE_SHAPES, ids=lambda s: "-".join(map(str, s[:5])) + "-gf%d^%d" % s[5])
+def test_lanes_equal_single_lane_replays(shape):
+    k, n_a, n_b, tau, construction, field = shape
+    code = CodeSpec.build(k, n_a, n_b, tau, construction=construction, field=FieldSpec(*field))
+    n, q, lanes = code.n, code.field.q, 4096
+    rng = np.random.default_rng(q * k)
+    data = rng.integers(0, q, size=(k, k, lanes), dtype=np.uint8)
+    parities = replay(repair_plan(_interned(code), None, ()), data)
+    stored = np.concatenate([data, parities.reshape(n - k, k, lanes).transpose(1, 0, 2)], axis=1)
+    picks = [0, 1, lanes - 1, *rng.integers(0, lanes, size=5).tolist()]
+    for lane in picks:
+        single = encode(code, DataArray(code.field, data[:, :, lane].tolist()))
+        assert single.rows == stored[:, :, lane].tolist()
+    for node in range(n):
+        plan = repair_plan(_interned(code), node, ())
+        out = replay(plan, stored)
+        assert (out == stored[:, node]).all()  # every lane of a true codeword
+        for lane in picks:
+            column, _ = execute(plan, stored[:, :, lane].tolist())
+            assert column[:, 0].tolist() == out[:, lane].tolist()
+
+
+def test_encode_plan_is_the_generator(spec_10_5, spec_7_4_h):
+    for code in (spec_10_5, spec_7_4_h):
+        k = code.k
+        plan = repair_plan(_interned(code), None, ())
+        gen = _generator(_interned(code))
+        want = [[int(gen[c, i, j, r]) for j, r in plan.reads] for c in range(k, code.n) for i in range(k)]
+        assert plan.matrix.tolist() == want
+        assert sorted(plan.reads) == [(j, r) for j in range(k) for r in range(k)]
+
+
+# -- plan cache and spec hashing -------------------------------------------------
+
+
+def test_plan_cache_stays_at_its_bound(spec_10_5):
+    nodes = range(spec_10_5.n)
+    keys = [(node, erased) for t in range(4) for node in nodes
+            for erased in itertools.combinations([x for x in nodes if x != node], t)]
+    keys = keys[: REPAIR_PLAN_CACHE_SIZE + 10]
+    repair_plan.cache_clear()
+    for node, erased in keys:
+        repair_plan(spec_10_5, node, erased)
+    info = repair_plan.cache_info()
+    assert info.maxsize == info.currsize == REPAIR_PLAN_CACHE_SIZE
+    assert info.misses == len(keys)
+    repair_plan(spec_10_5, *keys[-1])
+    repair_plan(spec_10_5, *keys[0])  # the oldest plan was evicted
+    info = repair_plan.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, len(keys) + 1, REPAIR_PLAN_CACHE_SIZE)
+
+
+def test_spec_from_json_hashes_equal_and_shares_plans(spec_10_5):
+    back = CodeSpec.from_json(spec_10_5.to_json())
+    assert back == spec_10_5 and back is not spec_10_5
+    assert hash(back) == hash(spec_10_5) and hash(back.class_b) == hash(spec_10_5.class_b)
+    assert "_hash" not in repr(back) + back.to_json()
+    assert "_hash" not in {f.name for f in dataclasses.fields(back) + dataclasses.fields(back.class_b)}
+    array = encode(spec_10_5, DataArray.random(spec_10_5.field, 5, random.Random(6)))
+    repair_plan.cache_clear()
+    first = repair_data_node(array, 2, spec_10_5)
+    again = repair_data_node(array, 2, back)
+    info = repair_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first[0] == again[0] and first[1] == again[1]
+    assert repair_plan(_interned(back), 2, ()) is repair_plan(_interned(spec_10_5), 2, ())
+
+
+def test_cold_replay_equals_warm(spec_9_5):
+    data = DataArray.random(spec_9_5.field, 5, random.Random(8))
+    array = encode(spec_9_5, data)
+    array.erase_nodes([3])
+
+    def outcome(node):
+        counter = OpCounter()
+        column, trace = _repair(array, node, spec_9_5, counter)
+        return column, trace.to_json(), sorted(trace.cache), counter.adds, counter.muls
+
+    for node in range(spec_9_5.n):
+        repair_plan.cache_clear()
+        cold = outcome(node)
+        assert outcome(node) == cold
+        assert repair_plan.cache_info().hits == 1
