@@ -25,7 +25,6 @@ from .gf import (
     matmul,
     rank_batch_len,
     smallest_field_of_order_at_least,
-    solve_values,
 )
 from .layout import CodeArray, DataArray, mod_k
 from .plan import RepairPlan, positions, replay
@@ -101,17 +100,12 @@ def mds_generator(
     """
     if field.q < n_a + 1:
         raise ValueError(f"field order {field.q} too small for length {n_a}")
-    points = list(range(1, n_a + 1))
-    vand = [[field.pow(x, e) for x in points] for e in range(k)]
-    lead = [row[:k] for row in vand]
-    cols = []
-    for j in range(k, n_a):
-        rhs = [row[j] for row in vand]
-        res = solve_values(field, lead, rhs)
-        if res.solution is None:
-            raise ValueError("degenerate evaluation points")
-        cols.append([s.value for s in res.solution])
-    alpha = [[cols[j][i] for j in range(n_a - k)] for i in range(k)]
+    vand = np.array([[field.pow(x, e) for x in range(1, n_a + 1)] for e in range(k)], dtype=np.int64)
+    # P solves V_data P = V_parity, so [I | P] spans the same code as V
+    rank, solved = eliminate(field, vand[:, :k], vand[:, k:])
+    if rank < k:
+        raise ValueError("degenerate evaluation points")
+    alpha = solved.tolist()
     verify_mds(alpha, n_a, k, field, rng=rng)
     return alpha
 
@@ -208,7 +202,18 @@ class ClassASpec:
 
     @classmethod
     def from_json_dict(cls, d: dict, field: FieldSpec, k: int) -> "ClassASpec":
-        return cls(field, d["nA"], k, d["tau"], tuple(tuple(r) for r in d["alpha"]))
+        """Load a spec, refusing an alpha that is not MDS (verify_mds raises)."""
+        spec = cls(field, d["nA"], k, d["tau"], tuple(tuple(r) for r in d["alpha"]))
+        _verified_mds(spec.alpha, spec.n_a, spec.k, spec.field)
+        return spec
+
+
+@functools.lru_cache(maxsize=16)  # a few codes per process, as for field tables
+def _verified_mds(alpha: tuple[tuple[int, ...], ...], n_a: int, k: int, field: FieldSpec) -> None:
+    """verify_mds, once per value: a caller that reloads its spec per
+    command (as the CLI does) checks it once.  A failed check raises, and
+    lru_cache never stores an exception."""
+    verify_mds(alpha, n_a, k, field)
 
 
 def encode_class_a(data: DataArray, spec: ClassASpec) -> list[list[int]]:
@@ -247,14 +252,12 @@ class DecodePlan(RepairPlan):
     """The decode of one erasure pattern, as a GF(q) linear map.
 
     Row s * k + i of `matrix` gives symbol i of node nodes[s] as a
-    combination of the symbols read: read t is row t % k of node
-    slots[t // k].  `matrix` is None when the pattern is not decodable;
-    `rank` is then the rank of the surviving class-A symbols over the
-    k^2 data symbols.
+    combination of the symbols read, whole nodes in `reads` order.
+    `matrix` is None when the pattern is not decodable; `rank` is then
+    the rank of the surviving class-A symbols over the k^2 data symbols.
     """
 
     nodes: tuple[int, ...] = ()
-    slots: np.ndarray | None = None
 
 
 def _compact(field: FieldSpec):
@@ -417,7 +420,6 @@ def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
             rank=rank,
             needed=k * k,
             nodes=erased,
-            slots=np.array(slots, dtype=compact),
         )
 
     lost_nodes = set(erased)

@@ -9,13 +9,19 @@ polynomial of degree m over GF(p); addition is digit-wise mod p.
 Fields are capped at q <= 2**16 so elements fit in 16-bit storage and
 exhaustive checks (irreducibility, field axioms in tests) stay cheap.
 
-A field's exp/log and dense tables are a pure function of (p, m, reduction),
-so they are built once per field and shared, read-only, by every FieldSpec
-of that field.  The array kernels use only O(q) tables, so they cover every
-field up to q = 2**16: batch_rank, the rank kernel of the MDS check and the
-exhaustive fault-tolerance search; eliminate, the solver of the multi-node
-decoder and of oracle.ml_decode; and matmul, which replays decode plans.
-The dense tables hold q**2 entries and stop at 1024.
+A field's exp/log tables are a pure function of (p, m, reduction), so they
+are built once per field and shared, read-only, by every FieldSpec of that
+field.  Every elimination in the package runs on the array kernels, which
+use only these O(q) tables and so cover every field up to q = 2**16:
+batch_rank, the rank kernel of the MDS check, the exhaustive
+fault-tolerance search and the min-read search's gaps; pivot_step, the row
+update of eliminate and of each min-read search step; eliminate, the
+solver of the MDS generator, of the multi-node decoder and of
+oracle.ml_decode; and matmul, which replays plans.  The scalar solvers
+(row_reduce, solve_values, gaussian_solve, matrix_rank) stay public as the
+reference the tests check the kernels against.  No module uses the q**2
+dense tables any more; they stay only for the benchmark, which still
+builds them.
 """
 
 from __future__ import annotations
@@ -348,10 +354,12 @@ class FieldSpec:
         return Symbol(1, self)
 
     def dense_tables(self):
-        """(add, sub, mul, inv) numpy tables for vectorised elimination.
+        """(add, sub, mul, inv) numpy tables, each with q**2 entries.
 
-        Built on first use and shared, read-only, by every FieldSpec of the
-        field; capped at q <= 1024 because each table holds q**2 entries.
+        No module of the package uses them: every elimination runs on the
+        O(q) tables of batch_rank.  They stay while the benchmark harness
+        builds them in its set-up.  Built on first use and shared,
+        read-only, by every FieldSpec of the field; capped at q <= 1024.
         """
         if self._dense is None:
             if self.q > 1024:
@@ -574,10 +582,11 @@ def batch_rank(field: FieldSpec, mats) -> np.ndarray:
     """Ranks of a (B, R, C) stack of matrices over the field.
 
     All B matrices are eliminated in lockstep, one column per step: each
-    takes its first unused row with a nonzero entry as pivot and clears
-    that column from its other unused rows.  Products come from the
-    field's O(q) exp/log tables; the stack is taken RANK_BATCH_ENTRIES
-    entries at a time, so memory stays flat for any B and any q <= 2**16.
+    takes its first row with a nonzero entry as pivot and clears that
+    column from every row, the pivot row included, so that row drops out.
+    Products come from the field's O(q) exp/log tables; the stack is taken
+    RANK_BATCH_ENTRIES entries at a time, so memory stays flat for any B
+    and any q <= 2**16.
     """
     mats = np.asarray(mats, dtype=np.int64)
     if mats.ndim != 3:
@@ -589,29 +598,26 @@ def batch_rank(field: FieldSpec, mats) -> np.ndarray:
     if not rows or not cols:
         return ranks
     exp, log = _rank_tables(field.p, field.m, field.reduction)
-    zero_log = log[0]
     step = rank_batch_len(rows, cols)
     for lo in range(0, b, step):
         m = mats[lo : lo + step].copy()
         idx = np.arange(len(m))
-        used = np.zeros((len(m), rows), dtype=bool)
         rank = ranks[lo : lo + step]
         for c in range(cols):
             col = m[:, :, c]
-            cand = (col != 0) & ~used
-            piv = cand.argmax(axis=1)
-            has = cand[idx, piv]
+            piv = (col != 0).argmax(axis=1)
+            has = col[idx, piv] != 0
             if not has.any():  # e.g. a zero column padding smaller matrices
                 continue
-            used[idx, piv] |= has
             rank += has
             if c + 1 == cols:
                 break
             prow = log[m[idx, piv, c:]]  # logs of the pivot and of the rest of its row
             inv_log = np.where(has, field.q - 1 - prow[:, 0], 0)
-            # log of (entry / pivot) for the unused rows; where a matrix has
-            # no pivot their entries in column c are 0, and so are the factors
-            factor = np.where(used, zero_log, log[col] + inv_log[:, None])
+            # log of (entry / pivot) for every row; where a matrix has no
+            # pivot its column c is 0, and so are the factors.  The pivot
+            # row clears itself, so no later column picks it again.
+            factor = log[col] + inv_log[:, None]
             m[:, :, c + 1 :] = array_sub(field, m[:, :, c + 1 :], exp[factor[:, :, None] + prow[:, None, 1:]])
     return ranks
 
@@ -632,6 +638,29 @@ def matmul(field: FieldSpec, a, b) -> np.ndarray:
     return np.concatenate([_add_reduce(field, exp[block[:, :, None] + lb[None]], axis=1) for block in blocks])
 
 
+def pivot_step(field: FieldSpec, m, row) -> tuple[np.ndarray, np.ndarray]:
+    """One elimination step: clear m with `row` at its first nonzero column c.
+
+    Each row s of the (R, C) array m becomes m[s] - (m[s, c] / row[c]) * row.
+    Returns the cleared m and row / row[c].  A (B, C) stack of rows takes B
+    such steps of the same m at once, and returns a (B, R, C) stack and the
+    B normalised rows.  Each product is one lookup in the O(q) tables of
+    batch_rank.
+    """
+    exp, log = _rank_tables(field.p, field.m, field.reduction)
+    rows = np.atleast_2d(row)
+    c = (rows != 0).argmax(axis=1)
+    # logs of each row divided by its pivot; a zero entry's log stays at or
+    # past log 0, so it still indexes the zero pad of exp
+    lrow = log[rows]
+    lrow += (field.q - 1 - lrow[np.arange(len(rows)), c])[:, None]
+    factor = log[m[:, c].T]
+    out = array_sub(field, m, exp[factor[:, :, None] + lrow[:, None, :]])
+    if np.ndim(row) == 1:
+        return out[0], exp[lrow[0]]
+    return out, exp[lrow]
+
+
 def eliminate(field: FieldSpec, a, b) -> tuple[int, np.ndarray]:
     """Gauss-Jordan elimination of [a | b] over the field, with pivots in a only.
 
@@ -640,14 +669,11 @@ def eliminate(field: FieldSpec, a, b) -> tuple[int, np.ndarray]:
     When a has full column rank its pivots fill rows 0..C-1 in column
     order, so the first C rows of E @ b solve a x = b, consistent iff the
     other rows are zero; for b the identity they are a left inverse of a.
-    Each step updates whole rows with lookups in the O(q) tables of
-    batch_rank.
+    Each step is one pivot_step over whole rows.
     """
-    exp, log = _rank_tables(field.p, field.m, field.reduction)
     a = np.asarray(a, dtype=np.int64)
     rows, cols = a.shape
     m = np.concatenate([a, np.asarray(b, dtype=np.int64)], axis=1)
-    zero_log, q1 = int(log[0]), field.q - 1
     rank = 0
     for c in range(cols):
         if rank == rows:
@@ -657,14 +683,8 @@ def eliminate(field: FieldSpec, a, b) -> tuple[int, np.ndarray]:
             continue
         if nz[0]:
             m[[rank, rank + nz[0]]] = m[[rank + nz[0], rank]]
-        # logs of the pivot row divided by its pivot; a zero entry's log
-        # stays at or past log 0, so it still indexes the zero pad of exp
-        lrow = log[m[rank]]
-        lrow += q1 - lrow[c]
-        m[rank] = exp[lrow]
-        factor = log[m[:, c]]
-        factor[rank] = zero_log  # the pivot row subtracts zero
-        m = array_sub(field, m, exp[factor[:, None] + lrow])
+        m, pivot = pivot_step(field, m, m[rank])
+        m[rank] = pivot  # the step cleared the pivot row too; keep it normalised
         rank += 1
     return rank, m[:, cols:]
 

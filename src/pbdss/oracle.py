@@ -17,7 +17,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .class_a import ClassASpec
-from .gf import batch_rank, eliminate, rank_batch_len
+from .gf import batch_rank, eliminate, pivot_step, rank_batch_len
 from .repair import CodeSpec
 
 
@@ -174,137 +174,82 @@ def ml_decode(code, array, pattern) -> dict[int, list[int]]:
 # -- minimal-read repair search ------------------------------------------------
 
 
-class _SpanBasis:
-    """Row basis in reduced form over the field, with membership reduction."""
-
-    def __init__(self, field, nvars: int):
-        self.field = field
-        self.tables = field.dense_tables()
-        self.nvars = nvars
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-
-    def clone(self) -> "_SpanBasis":
-        other = _SpanBasis.__new__(_SpanBasis)
-        other.field = self.field
-        other.tables = self.tables
-        other.nvars = self.nvars
-        other.rows = list(self.rows)
-        other.pivots = list(self.pivots)
-        return other
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        _, sub_t, mul_t, inv_t = self.tables
-        v = v.copy()
-        for row, p in zip(self.rows, self.pivots):
-            coef = int(v[p])
-            if coef:
-                v = sub_t[v, mul_t[coef, row]]
-        return v
-
-    def contains(self, v: np.ndarray) -> bool:
-        return not self.reduce(v).any()
-
-    def add(self, v: np.ndarray) -> bool:
-        _, sub_t, mul_t, inv_t = self.tables
-        r = self.reduce(v)
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            return False
-        p = int(nz[0])
-        r = mul_t[int(inv_t[r[p]]), r]
-        self.rows.append(r)
-        self.pivots.append(p)
-        return True
-
-    def deficiency(self, targets: list[np.ndarray]) -> int:
-        probe = self.clone()
-        return sum(1 for t in targets if probe.add(t))
-
-
-def min_read_repair(code, j: int, upper_bound: int | None = None) -> int:
+def min_read_repair(code, j: int) -> int:
     """Minimum number of symbol reads that linearly determine column j.
 
     Branch-and-bound over read sets in a fixed symbol order, pruning by
-    span closure (never read an implied symbol) and by the rank gap
-    between the current span and the target column.  Exponential; capped
+    span closure (never read an implied symbol), by the rank gap between
+    the current span and the target column, and by a memo of the spans
+    already searched at no greater depth.  Every candidate symbol and
+    target row is carried reduced against the reads so far: a symbol is
+    in the span when its reduced row is zero, and the gap is the rank of
+    the reduced targets.  A read steps both with gf.pivot_step, and the
+    gaps of all children of a node are ranked in one gf.batch_rank.  The
+    first bound is the read count of the repair schedule, once one rank
+    check confirms its reads determine the column.  Exponential; capped
     at k <= 6.
     """
     k = code.k
     if k > 6:
         raise ValueError("minimal-read search capped at k <= 6")
-    n = code.n_a if isinstance(code, ClassASpec) else code.n
+    if isinstance(code, ClassASpec):
+        raise ValueError("minimal-read search needs a full CodeSpec")
     field = code.field
-    nvars = k * k
     nodes = generator_rows(code)
-    targets = []
-    for i in range(k):
-        t = np.zeros(nvars, dtype=np.int32)
-        t[i * k + j] = 1
-        targets.append(t)
+    target = np.zeros((k, k * k), dtype=np.int64)
+    target[np.arange(k), np.arange(k) * k + j] = 1
+    # the candidate reads: parity forms first, then plain data symbols
+    symbols = np.array([nodes[c][i] for c in [*range(k, code.n), *range(k)] if c != j for i in range(k)],
+                       dtype=np.int64)
+    best = _schedule_reads(code, j, nodes, target)
+    seen: dict[bytes, int] = {}
 
-    symbols = []  # parity forms first, then plain data symbols
-    for c in range(k, n):
-        for i in range(k):
-            symbols.append(nodes[c][i])
-    for c in range(k):
-        if c == j:
-            continue
-        for i in range(k):
-            symbols.append(nodes[c][i])
-    nsym = len(symbols)
-
-    if upper_bound is None:
-        upper_bound = _schedule_reads(code, j)
-    best = upper_bound  # the schedule itself is a feasible read set
-    seen: dict[int, int] = {}
-    sym_matrix = np.stack(symbols)
-    _, sub_t, mul_t, _ = field.dense_tables()
-
-    def closure_mask(basis: _SpanBasis) -> int:
-        reduced = sym_matrix.copy()
-        for row, p in zip(basis.rows, basis.pivots):
-            coef = reduced[:, p]
-            reduced = sub_t[reduced, mul_t[coef[:, None], row[None, :]]]
-        mask = 0
-        for idx in np.nonzero(~reduced.any(axis=1))[0]:
-            mask |= 1 << int(idx)
-        return mask
-
-    def search(start: int, basis: _SpanBasis, depth: int) -> None:
+    def search(start: int, cands: np.ndarray | None, target: np.ndarray, gap: int, depth: int) -> None:
         nonlocal best
-        gap = basis.deficiency(targets)
         if gap == 0:
             best = min(best, depth)
             return
         if depth + gap >= best:
             return
-        key = closure_mask(basis)
+        spanned = ~cands.any(axis=1)
+        key = np.packbits(spanned).tobytes()
         prior = seen.get(key)
         if prior is not None and prior <= depth:
             return
         seen[key] = depth
-        for idx in range(start, nsym):
-            if basis.contains(symbols[idx]):
-                continue
-            nxt = basis.clone()
-            nxt.add(symbols[idx])
-            search(idx + 1, nxt, depth + 1)
+        kids = start + np.nonzero(~spanned[start:])[0]
+        rows = cands[kids]
+        kid_targets, _ = pivot_step(field, target, rows)
+        gaps = batch_rank(field, kid_targets)
+        # best only falls, so a child that fails its gap check now fails it
+        # when visited too, and never looks at its candidates: step only the rest
+        live = np.nonzero((gaps > 0) & (depth + 1 + gaps < best))[0]
+        kid_cands = dict(zip(live.tolist(), pivot_step(field, cands, rows[live])[0])) if live.size else {}
+        for n, (idx, g) in enumerate(zip(kids.tolist(), gaps.tolist())):
+            search(idx + 1, kid_cands.get(n), kid_targets[n], g, depth + 1)
 
-    search(0, _SpanBasis(field, nvars), 0)
+    search(0, symbols, target, k, 0)
     return best
 
 
-def _schedule_reads(code, j: int) -> int:
-    """Read count of the actual repair schedule, as the search's upper bound."""
+def _schedule_reads(code, j: int, nodes, target: np.ndarray) -> int:
+    """Read count of the repair schedule of data node j, checked.
+
+    The schedule is only trusted as far as one rank check goes: its reads
+    must avoid node j and determine column j: adding the target rows must
+    not raise the rank of their forms.
+    """
     import random
 
     from .layout import DataArray
     from .repair import encode, repair_data_node
 
-    if isinstance(code, ClassASpec):
-        raise ValueError("minimal-read search needs a full CodeSpec")
     data = DataArray.random(code.field, code.k, random.Random(0))
-    array = encode(code, data)
-    _, trace = repair_data_node(array, j, code)
-    return trace.total
+    _, trace = repair_data_node(encode(code, data), j, code)
+    reads = list(trace.reads)
+    forms = np.array([nodes[c][i] for c, i in reads], dtype=np.int64).reshape(-1, code.k**2)
+    mats = np.stack([np.concatenate([forms, np.zeros_like(target)]), np.concatenate([forms, target])])
+    low, high = batch_rank(code.field, mats).tolist()
+    if any(c == j for c, _ in reads) or low != high:
+        raise ValueError(f"the repair schedule's {len(reads)} reads do not determine column {j}")
+    return len(reads)

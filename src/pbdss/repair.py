@@ -208,18 +208,16 @@ class _Session:
     def stage(self, kind: str, symbol: NodePos, parity: NodePos | None, coeffs, sources, adds: int,
               muls: int) -> None:
         trace = self.trace
-        reads, hits = [], []
+        reads = []
         for pos in sources:
             if pos in trace.cache:
-                hits.append(pos)
-            elif pos[0] in self.erased:
+                continue
+            if pos[0] in self.erased:
                 raise _ReadsErased
-            else:
-                trace.reads.append(pos)
-                trace.cache.add(pos)
-                reads.append(pos)
-        self.stages.append(Stage(kind, symbol, parity, tuple(coeffs), tuple(sources), tuple(reads),
-                                 tuple(hits), adds, muls))
+            trace.reads.append(pos)
+            trace.cache.add(pos)
+            reads.append(pos)
+        self.stages.append(Stage(kind, symbol, parity, tuple(coeffs), tuple(sources), tuple(reads), adds, muls))
         if self.independent:
             trace.per_symbol[symbol] = len(sources)
         else:

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from pbdss import class_a
 from pbdss.class_a import (
     ClassASpec,
     UnrecoverableErasureError,
@@ -15,7 +16,7 @@ from pbdss.class_a import (
     verify_mds,
     xi_threshold,
 )
-from pbdss.gf import FieldSpec, matrix_rank
+from pbdss.gf import FieldSpec, matrix_rank, solve_values
 from pbdss.layout import CodeArray, DataArray
 
 
@@ -47,6 +48,32 @@ def test_mds_generator_8_5_gf9(gf9):
 def test_mds_single_parity_column_all_nonzero(gf11):
     alpha = mds_generator(6, 5, gf11)
     assert all(alpha[i][0] != 0 for i in range(5))
+
+
+def _reference_alpha(n_a, k, field):
+    """The parity block from one scalar solve_values per parity column."""
+    vand = [[field.pow(x, e) for x in range(1, n_a + 1)] for e in range(k)]
+    lead = [row[:k] for row in vand]
+    cols = [[s.value for s in solve_values(field, lead, [row[j] for row in vand]).solution] for j in range(k, n_a)]
+    return [[cols[j][i] for j in range(n_a - k)] for i in range(k)]
+
+
+def test_mds_generator_matches_scalar_solves(monkeypatch):
+    """One eliminate gives the alpha of a solve per column, for every k
+    from 3 to 11, every n_a from k + 2 to 2k - 1, on every field given
+    that is large enough.  The MDS check, which has tests of its own and
+    takes seconds at k = 11, is skipped here."""
+    monkeypatch.setattr(class_a, "verify_mds", lambda *args, **kwargs: None)
+    fields = [FieldSpec(7), FieldSpec(2, 3), FieldSpec(3, 2), FieldSpec(13), FieldSpec(23), FieldSpec(2, 5),
+              FieldSpec(2, 8)]
+    checked = 0
+    for k in range(3, 12):
+        for n_a in range(k + 2, 2 * k):
+            for f in fields:
+                if f.q >= n_a + 1:
+                    assert mds_generator(n_a, k, f) == _reference_alpha(n_a, k, f), (k, n_a, f)
+                    checked += 1
+    assert checked >= 150
 
 
 def test_mds_generator_field_too_small(gf8):

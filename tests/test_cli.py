@@ -213,6 +213,22 @@ def test_malformed_spec_exits_2(tmp_path, capsys, mangle, key):
     assert key in err
 
 
+def test_non_mds_alpha_exits_2(tmp_path, capsys):
+    """A spec whose alpha is not MDS is refused on load.  With alpha[0][0]
+    = 0 the (10,5) repair used to die dividing by zero, and the closed-form
+    f = 2 overstated the exhaustive tolerance of 1."""
+    spec_path, arr_path = _spec_and_array(tmp_path, capsys)
+    doc = json.loads(spec_path.read_text())
+    doc["classA"]["alpha"][0][0] = 0
+    spec_path.write_text(json.dumps(doc))
+    for argv in (["repair-sim", "--spec", str(spec_path)],
+                 ["repair-sim", "--spec", str(spec_path), "--array", str(arr_path)],
+                 ["encode", "--spec", str(spec_path), "--out", str(tmp_path / "x.bin")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "MDS check failed" in err
+
+
 def test_env_seed_override(tmp_path, capsys, monkeypatch):
     spec_path = tmp_path / "spec.json"
     run(capsys, "construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1",

@@ -166,7 +166,7 @@ def test_replay_matches_ml_decode(case):
     stored, damaged = _lost(code, data, pattern, rng)
     class_a_part = [x for x in pattern if x < code.n_a]
     plan = decode_plan(code, tuple(pattern))
-    assert not set(plan.slots.tolist()) & set(pattern)  # never reads a lost symbol
+    assert not {node for node, _ in plan.reads} & set(pattern)  # never reads a lost symbol
     if not ml_decodable(code.class_a, class_a_part):
         with pytest.raises(UnrecoverableErasureError) as exc:
             repair_multi(damaged, pattern, code)

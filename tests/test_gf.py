@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,3 +339,18 @@ def test_symbol_value_range():
     f = FieldSpec(11)
     with pytest.raises(ValueError):
         Symbol(11, f)
+
+
+def test_only_gf_eliminates():
+    """Every module but gf eliminates with gf's array kernels: the scalar
+    solvers and the q**2 dense tables are gf's alone, kept as the tests'
+    reference and for the benchmark harness."""
+    names = re.compile(r"\b(row_reduce|solve_values|gaussian_solve|matrix_rank|dense_tables|_SpanBasis)\b")
+    src = Path(__file__).resolve().parent.parent / "src" / "pbdss"
+    found = {
+        path.name: sorted(set(names.findall(path.read_text())))
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("gf.py", "__init__.py")
+    }
+    assert len(found) >= 8
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from pbdss import repair
 from pbdss.class_a import ClassASpec, UnrecoverableErasureError, fault_tolerance, verify_mds
-from pbdss.gf import FieldSpec, matrix_rank
+from pbdss.gf import FieldSpec, batch_rank, matrix_rank
 from pbdss.layout import DataArray
 from pbdss.oracle import (
     brute_force_fault_tolerance,
@@ -167,6 +169,65 @@ def test_min_read_never_exceeds_schedule():
     for j in range(4):
         _, trace = repair_data_node(arr, j, spec)
         assert min_read_repair(spec, j) <= trace.total
+
+
+def _fewest_reads(code, j):
+    """Smallest read set determining column j, by trying every set in
+    increasing size: a set determines it when adding the target rows does
+    not raise the rank of its forms."""
+    k = code.k
+    nodes = generator_rows(code)
+    forms = np.array([nodes[c][i] for c in range(code.n) if c != j for i in range(k)], dtype=np.int64)
+    targets = np.zeros((k, k * k), dtype=np.int64)
+    targets[np.arange(k), np.arange(k) * k + j] = 1
+    for size in range(len(forms) + 1):
+        reads = forms[np.array(list(itertools.combinations(range(len(forms)), size)), dtype=np.intp)]
+        shape = (len(reads), k, k * k)
+        low = batch_rank(code.field, np.concatenate([reads, np.zeros(shape, np.int64)], axis=1))
+        high = batch_rank(code.field, np.concatenate([reads, np.broadcast_to(targets, shape)], axis=1))
+        if (low == high).any():
+            return size
+    raise AssertionError("the whole code does not determine the column")
+
+
+@pytest.mark.parametrize("field", [FieldSpec(7), FieldSpec(2, 3)], ids=str)
+@pytest.mark.parametrize("n_b,expected", [(3, 7), (4, 5)])
+def test_min_read_matches_exhaustive_enumeration(field, n_b, expected, monkeypatch):
+    """The search finds the minimum from the schedule's bound, and from the
+    loosest bound too: a schedule that reads every symbol it may."""
+    code = CodeSpec.build(3, 5, n_b, 1, field=field)
+    mins = [min_read_repair(code, j) for j in range(3)]
+    real = repair.repair_data_node
+
+    def reads_everything(array, j, spec, counter=None):
+        column, trace = real(array, j, spec, counter)
+        trace.reads = [(c, i) for c in range(spec.n) if c != j for i in range(spec.k)]
+        return column, trace
+
+    monkeypatch.setattr(repair, "repair_data_node", reads_everything)
+    for j in range(3):
+        assert mins[j] == min_read_repair(code, j) == _fewest_reads(code, j) == expected
+
+
+@pytest.mark.parametrize("fault", ["drops a read", "reads the lost node"])
+def test_min_read_checks_the_schedule_it_starts_from(spec_7_4_h, monkeypatch, fault):
+    """The schedule's reads bound the search only once a rank check shows
+    they determine the column: under-reported reads used to come back as
+    the minimum (6 here, against 7)."""
+    real = repair.repair_data_node
+
+    def faulty(array, j, spec, counter=None):
+        column, trace = real(array, j, spec, counter)
+        if fault == "drops a read":
+            trace.reads.pop()
+        else:
+            trace.reads[-1] = (j, 0)
+        return column, trace
+
+    assert min_read_repair(spec_7_4_h, 0) == 7
+    monkeypatch.setattr(repair, "repair_data_node", faulty)
+    with pytest.raises(ValueError, match="do not determine column 0"):
+        min_read_repair(spec_7_4_h, 0)
 
 
 def test_min_read_size_cap():
