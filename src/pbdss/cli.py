@@ -8,6 +8,7 @@ pattern, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,10 +29,6 @@ EXIT_VERIFY_FAILED = 4
 # (k, n_a, tau) -> how far exhaustive search beats the guaranteed fault
 # tolerance with the default MDS coefficients; the formula is exact elsewhere.
 CHECKED_EXCEEDANCES = {(5, 9, 2): 1, (5, 9, 3): 1, (7, 11, 2): 1}
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("PBDSS_SEED", "0"))
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -59,7 +56,14 @@ def _build_spec(args) -> CodeSpec:
 
 def _load_spec(path: str) -> CodeSpec:
     with open(path) as fh:
-        return CodeSpec.from_json(fh.read())
+        return _parse_spec(fh.read())
+
+
+# Keyed by the text, not the path, so a rewritten file is parsed again;
+# lru_cache never stores an exception, so a bad spec fails on every call.
+@functools.lru_cache(maxsize=16)
+def _parse_spec(text: str) -> CodeSpec:
+    return CodeSpec.from_json(text)
 
 
 def cmd_construct(args) -> int:
@@ -83,7 +87,11 @@ def cmd_encode(args) -> int:
     spec = _load_spec(args.spec)
     if args.data:
         with open(args.data) as fh:
-            rows = json.load(fh)["symbols"]
+            doc = json.load(fh)
+        rows = doc.get("symbols") if isinstance(doc, dict) else None
+        if not isinstance(rows, list) or any(
+                not isinstance(r, list) or any(type(v) is not int for v in r) for r in rows):
+            raise ValueError("data JSON must be an object whose 'symbols' is a list of integer rows")
         data = DataArray(spec.field, rows)
     else:
         data = DataArray.random(spec.field, spec.k, random.Random(args.seed))
@@ -113,8 +121,8 @@ def cmd_repair_sim(args) -> int:
         array = encode(spec, data)
 
     if args.nodes:
+        # repair_multi treats the failed nodes as erased and checks their range
         failed = sorted(int(x) for x in args.nodes.split(","))
-        array.erase_nodes(failed)
         columns = repair_multi(array, failed, spec)
         print(f"repaired nodes {failed}")
         for node in failed:
@@ -132,9 +140,9 @@ def cmd_repair_sim(args) -> int:
     lam = sum(t.total for t in traces) / len(traces) / spec.k
     print(f"average lambda = {lam:.4f}")
     if args.trace_out:
-        payload = [t.to_json_dict() for t in traces]
+        # one compact trace per line: json.dump with an indent runs the pure-Python encoder
         with open(args.trace_out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write("[\n  " + ",\n  ".join(t.to_json() for t in traces) + "\n]")
         print(f"traces written to {args.trace_out}")
     return 0
 
@@ -207,6 +215,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)  # built once per process, so no default may read the environment
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pbdss",
@@ -233,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode a data array with a spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--data", help="JSON file with {'symbols': [[...]]}")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output array (binary)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("repair-sim", help="simulate node repairs and report reads")
     p.add_argument("--spec", required=True)
     p.add_argument("--array", help="encoded array file; otherwise random data")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--node", type=int, help="single data node to repair (default: all)")
     p.add_argument("--nodes", help="comma-separated multi-node failure pattern")
     p.add_argument("--punctured", type=int, default=0, help="drop this many trailing sum-parity nodes")
@@ -249,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parity-sim", help="simulate parity node repairs")
     p.add_argument("--spec", required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_parity_sim)
 
     p = sub.add_parser("tables", help="emit benchmark table rows")
     p.add_argument("--table", type=int, choices=(2, 3), required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tables)
 
@@ -263,21 +272,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=8)
     p.add_argument("--quick", action="store_true", help="small sweep (k <= 5)")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:  # read per call: the parser outlives it
+            args.seed = int(os.environ.get("PBDSS_SEED", "0"))
         return args.func(args)
     except UnrecoverableErasureError as exc:
         print(f"unrecoverable: {exc} (rank {exc.rank}, need {exc.needed})", file=sys.stderr)
         return EXIT_UNRECOVERABLE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

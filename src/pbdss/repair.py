@@ -108,7 +108,7 @@ class CodeSpec:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CodeSpec":

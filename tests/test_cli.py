@@ -1,8 +1,20 @@
+import argparse
+import contextlib
+import functools
+import io
 import json
+import operator
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from pbdss import cli
 from pbdss.cli import main
+from pbdss.layout import read_code_array
+from pbdss.repair import CodeSpec, repair_data_node
 
 
 def run(capsys, *argv):
@@ -260,3 +272,222 @@ def test_prime_field_reduction_is_checked(tmp_path, capsys):
         code, _, err = run(capsys, "encode", "--spec", str(spec_path), "--out", str(arr_path))
         assert code == 2
         assert message in err
+
+
+def test_env_seed_override_after_parser_built(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process, so PBDSS_SEED must be read on
+    every call, not when the parser is built."""
+    spec_path = tmp_path / "spec.json"
+    run(capsys, "construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1",
+        "--out", str(spec_path))
+    a, b, c = tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "c.bin"
+    monkeypatch.delenv("PBDSS_SEED", raising=False)
+    run(capsys, "encode", "--spec", str(spec_path), "--seed", "42", "--out", str(b))
+    monkeypatch.setenv("PBDSS_SEED", "42")
+    run(capsys, "encode", "--spec", str(spec_path), "--out", str(a))
+    assert a.read_bytes() == b.read_bytes()
+    monkeypatch.delenv("PBDSS_SEED")
+    run(capsys, "encode", "--spec", str(spec_path), "--out", str(c))
+    assert c.read_bytes() != a.read_bytes()
+    monkeypatch.setenv("PBDSS_SEED", "x")
+    code, _, err = run(capsys, "encode", "--spec", str(spec_path), "--out", str(c))
+    assert code == 2
+    assert "invalid literal" in err
+
+
+def test_repeated_commands_give_identical_outputs(tmp_path, capsys):
+    spec, arr, trace = tmp_path / "spec.json", tmp_path / "arr.bin", tmp_path / "trace.json"
+    for argv in (["construct", "--k", "4", "--n-a", "6", "--n-b", "5", "--tau", "1",
+                  "--construction", "2", "--out", str(spec)],
+                 ["encode", "--spec", str(spec), "--seed", "4", "--out", str(arr)],
+                 ["repair-sim", "--spec", str(spec), "--array", str(arr), "--trace-out", str(trace)],
+                 ["repair-sim", "--spec", str(spec), "--array", str(arr), "--nodes", "1,5"],
+                 ["parity-sim", "--spec", str(spec)]):
+        first = run(capsys, *argv), [p.read_bytes() for p in (spec, arr, trace) if p.exists()]
+        second = run(capsys, *argv), [p.read_bytes() for p in (spec, arr, trace) if p.exists()]
+        assert first[0][0] == 0, argv
+        assert second == first, argv
+
+
+def test_bad_argv_then_good_argv(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", "--spec"])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, "construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1")
+    assert code == 0
+    assert "fault tolerance f = 2" in out
+
+
+def test_parser_built_at_most_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "pbdss":  # the top-level parser, not its subparsers
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        code, _, _ = run(capsys, "construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1")
+        assert code == 0
+    assert len(built) <= 1
+
+
+def test_rewritten_spec_is_parsed_again(tmp_path, capsys, monkeypatch):
+    parsed = []
+    from_json = CodeSpec.from_json.__func__
+    monkeypatch.setattr(CodeSpec, "from_json",
+                        classmethod(lambda cls, text: parsed.append(text) or from_json(cls, text)))
+    cli._parse_spec.cache_clear()
+    spec_path = tmp_path / "spec.json"
+    run(capsys, "construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1",
+        "--out", str(spec_path))
+    first = run(capsys, "repair-sim", "--spec", str(spec_path), "--seed", "1")
+    assert run(capsys, "repair-sim", "--spec", str(spec_path), "--seed", "1") == first
+    assert first[1].count("(ok)") == 5
+    assert len(parsed) == 1
+    run(capsys, "construct", "--k", "4", "--n-a", "6", "--n-b", "5", "--tau", "1",
+        "--out", str(spec_path))
+    code, out, _ = run(capsys, "repair-sim", "--spec", str(spec_path), "--seed", "1")
+    assert code == 0
+    assert out.count("(ok)") == 4
+    assert len(parsed) == 2
+
+
+def test_malformed_spec_exits_2_on_every_call(tmp_path, capsys):
+    spec_path, _ = _spec_and_array(tmp_path, capsys)
+    doc = json.loads(spec_path.read_text())
+    doc["classA"]["tau"] = "1"
+    spec_path.write_text(json.dumps(doc))
+    for _ in range(3):
+        code, _, err = run(capsys, "encode", "--spec", str(spec_path), "--out", str(tmp_path / "x.bin"))
+        assert code == 2
+        assert "'classA.tau' must be an integer" in err
+
+
+def test_trace_file_holds_one_trace_per_line(tmp_path, capsys):
+    spec_path, arr_path = _spec_and_array(tmp_path, capsys)
+    trace_path = tmp_path / "traces.json"
+    code, _, _ = run(capsys, "repair-sim", "--spec", str(spec_path), "--array", str(arr_path),
+                     "--trace-out", str(trace_path))
+    assert code == 0
+    spec = CodeSpec.from_json(spec_path.read_text())
+    array = read_code_array(arr_path.read_bytes())
+    traces = [repair_data_node(array, j, spec)[1] for j in range(spec.k)]
+    text = trace_path.read_text()
+    assert json.loads(text) == [t.to_json_dict() for t in traces]
+    assert text.splitlines() == ["["] + [f"  {t.to_json()}," for t in traces[:-1]] + [
+        f"  {traces[-1].to_json()}", "]"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["repair-sim", "--spec", "SPEC", "--nodes", "0,99"], "failed node index out of range"),
+    (["repair-sim", "--spec", "SPEC", "--array", "ARRAY", "--nodes", "0,99"],
+     "failed node index out of range"),
+    (["repair-sim", "--spec", "SPEC", "--nodes=-1,2"], "failed node index out of range"),
+    (["repair-sim", "--spec", "DIR"], "Is a directory"),
+    (["repair-sim", "--spec", "SPEC", "--array", "DIR"], "Is a directory"),
+    (["repair-sim", "--spec", "SPEC", "--trace-out", "DIR"], "Is a directory"),
+    (["encode", "--spec", "SPEC", "--out", "DIR"], "Is a directory"),
+    (["encode", "--spec", "SPEC", "--data", "DIR", "--out", "X"], "Is a directory"),
+    (["construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1", "--out", "DIR"],
+     "Is a directory"),
+])
+def test_input_faults_exit_2(tmp_path, capsys, argv, message):
+    """Node indices past n and directories where files belong used to end
+    in tracebacks."""
+    spec_path, arr_path = _spec_and_array(tmp_path, capsys)
+    (tmp_path / "dir").mkdir()
+    names = {"SPEC": spec_path, "ARRAY": arr_path, "DIR": tmp_path / "dir", "X": tmp_path / "x.bin"}
+    code, _, err = run(capsys, *(str(names.get(a, a)) for a in argv))
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("doc", [[1], {}, {"symbols": 3}, {"symbols": [1]}, {"symbols": [["1"]]},
+                                 {"symbols": [[0.5]]}, {"symbols": [[True]]}])
+def test_bad_data_document_exits_2(tmp_path, capsys, doc):
+    """`encode --data` used to end in a TypeError or KeyError traceback."""
+    spec_path, _ = _spec_and_array(tmp_path, capsys)
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "encode", "--spec", str(spec_path), "--data", str(data_path),
+                       "--out", str(tmp_path / "x.bin"))
+    assert code == 2
+    assert "data JSON must be an object whose 'symbols' is a list of integer rows" in err
+
+
+# A small valid spec for the fuzz test below: (7,4) over GF(7).
+_FUZZ_SPEC = CodeSpec.build(4, 6, 5, 1).to_json()
+_MUTATIONS = ("drop", "str", "float", "negative", "bool", "truncate", "directory")
+
+
+def _json_paths(doc, path=()):
+    """Every key and list position inside a JSON document, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, sub in items:
+        yield path + (key,)
+        yield from _json_paths(sub, path + (key,))
+
+
+def _mutated_spec(kind: str, pick: int) -> str:
+    if kind == "truncate":
+        return _FUZZ_SPEC[: pick % len(_FUZZ_SPEC)]
+    doc = json.loads(_FUZZ_SPEC)
+    paths = list(_json_paths(doc))
+    *where, last = paths[pick % len(paths)]
+    parent = functools.reduce(operator.getitem, where, doc)
+    value = parent[last]
+    if kind == "drop":
+        del parent[last]
+    else:
+        is_int = type(value) is int
+        parent[last] = {"str": str(value), "float": value + 0.5 if is_int else 0.5,
+                        "negative": -1 - value if is_int else -1, "bool": True}[kind]
+    return json.dumps(doc)
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in argv])
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(-2, 9) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["symbols", "x"]), inner,
+                                                                  max_size=2),
+    max_leaves=12)
+_DATA_DOCS = _JSON_VALUES | st.builds(
+    lambda rows: {"symbols": rows},
+    st.lists(st.lists(st.integers(-1, 8), min_size=3, max_size=4), min_size=3, max_size=4))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=st.none() | st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 10**6)),
+       nodes=st.none() | st.lists(st.integers(-2, 9), min_size=1, max_size=5),
+       data=st.none() | _DATA_DOCS)
+@example(mutation=None, nodes=[0, 99], data=None)
+@example(mutation=("directory", 0), nodes=None, data=None)
+@example(mutation=None, nodes=None, data=[1])
+def test_cli_inputs_never_raise(mutation, nodes, data):
+    """Mutated specs, data files and --nodes lists through encode and
+    repair-sim: every run ends with exit 0, 2 or 3, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        spec, arr, data_path = root / "spec.json", root / "arr.bin", root / "data.json"
+        if mutation and mutation[0] == "directory":
+            spec.mkdir()
+        else:
+            spec.write_text(_mutated_spec(*mutation) if mutation else _FUZZ_SPEC)
+        encode_argv = ["encode", "--spec", spec, "--out", arr]
+        if data is not None:
+            data_path.write_text(json.dumps(data))
+            encode_argv += ["--data", data_path]
+        assert _quiet_main(encode_argv) in (0, 2)
+        sim_argv = ["repair-sim", "--spec", spec, "--seed", "1"]
+        if arr.exists():
+            sim_argv += ["--array", arr]
+        if nodes is not None:
+            sim_argv.append("--nodes=" + ",".join(map(str, nodes)))
+        assert _quiet_main(sim_argv) in (0, 2, 3)

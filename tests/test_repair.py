@@ -6,6 +6,7 @@ import pytest
 
 from pbdss.class_a import ClassASpec, UnrecoverableErasureError
 from pbdss.class_b import construct1_parities
+from pbdss.gf import FieldSpec
 from pbdss.layout import DataArray, q_set
 from pbdss.metrics import OpCounter, formula_bundle
 from pbdss.repair import (
@@ -163,6 +164,18 @@ def test_codespec_json_roundtrip(spec_10_5, tmp_path):
     back = CodeSpec.from_json(text)
     assert back == spec_10_5
     assert back.to_json() == text
+
+
+@pytest.mark.parametrize("shape,construction,field", [
+    ((5, 7, 8, 1), 1, None), ((5, 8, 6, 1), 1, None), ((9, 12, 11, 2), 1, None),
+    ((9, 12, 11, 2), 1, FieldSpec(2, 8)), ((8, 12, 9, 3), 2, None), ((10, 15, 11, 4), 2, None),
+])
+def test_codespec_json_roundtrip_cli_shapes(shape, construction, field):
+    """The six shapes the CLI benchmark runs; the spec JSON is one compact line."""
+    spec = CodeSpec.build(*shape, construction=construction, field=field)
+    text = spec.to_json()
+    assert CodeSpec.from_json(text) == spec
+    assert "\n" not in text
 
 
 def test_codespec_validation(gf8, gf11):
