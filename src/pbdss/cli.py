@@ -87,7 +87,10 @@ def cmd_encode(args) -> int:
     spec = _load_spec(args.spec)
     if args.data:
         with open(args.data) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:  # not a ValueError; a valid document nests three levels deep
+                raise ValueError("data JSON nests too deeply") from None
         rows = doc.get("symbols") if isinstance(doc, dict) else None
         if not isinstance(rows, list) or any(
                 not isinstance(r, list) or any(type(v) is not int for v in r) for r in rows):
@@ -172,6 +175,11 @@ def cmd_tables(args) -> int:
 def cmd_verify(args) -> int:
     from .class_a import ClassASpec, fault_tolerance
 
+    # the sweep starts at k = 4, so a smaller --max-k would check nothing and pass
+    if args.max_k < 4:
+        raise ValueError(f"--max-k must be at least 4, got {args.max_k}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     failures = []
     notes = []
     checked_patterns = 0

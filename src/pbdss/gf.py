@@ -4,7 +4,9 @@ Field elements are canonical unsigned integers in [0, q).  For extension
 fields (m > 1) the integer encodes the coefficient vector of the polynomial
 basis in little-endian base p: value = sum(c_i * p**i), so bit/digit i is
 the coefficient of alpha**i.  Multiplication reduces modulo an irreducible
-polynomial of degree m over GF(p); addition is digit-wise mod p.
+polynomial of degree m over GF(p); addition is digit-wise mod p.  The
+scalar FieldSpec.add, sub and neg keep that digit loop: they are the
+independent reference the array kernels are tested against.
 
 Fields are capped at q <= 2**16 so elements fit in 16-bit storage and
 exhaustive checks (irreducibility, field axioms in tests) stay cheap.
@@ -17,11 +19,15 @@ batch_rank, the rank kernel of the MDS check, the exhaustive
 fault-tolerance search and the min-read search's gaps; pivot_step, the row
 update of eliminate and of each min-read search step; eliminate, the
 solver of the MDS generator, of the multi-node decoder and of
-oracle.ml_decode; and matmul, which replays plans.  The scalar solvers
-(row_reduce, solve_values, gaussian_solve, matrix_rank) stay public as the
-reference the tests check the kernels against.  No module uses the q**2
-dense tables any more; they stay only for the benchmark, which still
-builds them.
+oracle.ml_decode; and matmul, which replays plans.  Their one subtraction,
+array_sub, is XOR for p = 2, a compare-and-add for odd primes and, for
+odd-p extension fields, one lookup in an O(q) Zech-logarithm table
+between the exp/log lookups, so no elimination step loops over digits or
+takes a full-array % p (matmul's sums along an axis still do).  The
+scalar solvers (row_reduce, solve_values, gaussian_solve, matrix_rank)
+stay public as the reference the tests check the kernels against.  No
+module uses the q**2 dense tables any more; they stay only for the
+benchmark, which still builds them.
 """
 
 from __future__ import annotations
@@ -550,18 +556,61 @@ def _rank_tables(p: int, m: int, reduction: tuple[int, ...]) -> tuple[np.ndarray
     return exp, log
 
 
+@functools.lru_cache(maxsize=16)
+def _zech_table(p: int, m: int, reduction: tuple[int, ...]) -> np.ndarray:
+    """Zech logarithms of an odd-characteristic field, padded for array_sub.
+
+    With g the generator, n = q - 1 and h = n / 2 (so g**h = -1), the Zech
+    logarithm Z(i) = log(1 + g**i) gives a - b = a * (1 + (-b) / a) as
+    g**(log a + Z(log b - log a + h)).  array_sub reads it at
+    j = log b - log a + 3n, with the logs of _rank_tables (log 0 = 3n), and
+    adds log a to the entry; exp of that sum is a - b.  The 6n + 1 entries
+    fall into three disjoint regions, one per case, so no case needs a mask:
+
+    - both nonzero, j in [2n + 1, 4n - 1]: Z(j - 3n + h mod n), except at
+      j = 3n (a = b), where 1 + g**h = 0 and the entry is 3n, so that
+      log a + 3n lands in the zero pad of exp (a = b = 0 also reads j = 3n);
+    - a = 0, j = log b in [0, n - 1]: log b + h - 3n, so the sum is
+      log(-b) = log b + h;
+    - b = 0, j = 6n - log a in [5n + 1, 6n]: 0, so the sum is log a.
+
+    Every sum stays below 3n, inside the periodic part of exp, or lands in
+    its zero pad.  Built once per field, in O(q) numpy steps, and read-only.
+    """
+    q = p**m
+    n = q - 1
+    half, zero_log = n // 2, 3 * n
+    tables = _field_tables(p, m, reduction)
+    powers = np.array(tables.exp[:n], dtype=np.int64)
+    log = np.array(tables.log, dtype=np.int64)
+    # 1 + g**i: adding 1 changes only digit 0, which wraps from p - 1 to 0
+    one_plus = powers + 1 - p * (powers % p == p - 1)
+    zech = log[one_plus]
+    zech[one_plus == 0] = zero_log
+    table = np.zeros(2 * zero_log + 1, dtype=np.int64)
+    table[:n] = np.arange(n) + half - zero_log
+    d = np.arange(-(n - 1), n)
+    table[zero_log + d] = zech[(d + half) % n]
+    table.flags.writeable = False
+    return table
+
+
 def array_sub(field: FieldSpec, a, b) -> np.ndarray:
-    """a - b elementwise over the field, for broadcastable integer arrays."""
+    """a - b elementwise over the field, for broadcastable integer arrays.
+
+    XOR for p = 2; for odd primes the difference, plus p where it is
+    negative; for odd-p extension fields one lookup in the Zech table
+    between the O(q) exp/log lookups of batch_rank.
+    """
     p = field.p
     if p == 2:
         return a ^ b
     if field.m == 1:
-        return (a - b) % p
-    out = 0
-    for i in range(field.m):  # digit-wise mod p
-        w = p**i
-        out = out + (a // w - b // w) % p * w
-    return out
+        d = a - b
+        return d + p * (d < 0)
+    exp, log = _rank_tables(p, field.m, field.reduction)
+    la = log[a]
+    return exp[la + _zech_table(p, field.m, field.reduction)[log[b] - la + 3 * (field.q - 1)]]
 
 
 def _add_reduce(field: FieldSpec, a: np.ndarray, axis: int) -> np.ndarray:

@@ -124,7 +124,11 @@ class CodeSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CodeSpec":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError:  # not a ValueError; a valid spec nests six levels deep
+            raise ValueError("spec JSON nests too deeply") from None
+        return cls.from_json_dict(doc)
 
 
 # Keys a spec JSON must hold: a dict lists required keys, [x] is a list of x.

@@ -4,6 +4,8 @@ import functools
 import io
 import json
 import operator
+import random
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 
 from pbdss import cli
 from pbdss.cli import main
-from pbdss.layout import read_code_array
-from pbdss.repair import CodeSpec, repair_data_node
+from pbdss.layout import DataArray, read_code_array, write_code_array
+from pbdss.repair import CodeSpec, encode, repair_data_node
 
 
 def run(capsys, *argv):
@@ -393,16 +395,28 @@ def test_trace_file_holds_one_trace_per_line(tmp_path, capsys):
     (["encode", "--spec", "SPEC", "--data", "DIR", "--out", "X"], "Is a directory"),
     (["construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1", "--out", "DIR"],
      "Is a directory"),
+    (["repair-sim", "--spec", "DEEP"], "spec JSON nests too deeply"),
+    (["encode", "--spec", "SPEC", "--data", "DEEP", "--out", "X"], "data JSON nests too deeply"),
+    (["encode", "--spec", "SPEC", "--data", "DEEP_OBJECT", "--out", "X"], "data JSON nests too deeply"),
+    (["verify", "--max-k", "3"], "--max-k must be at least 4, got 3"),
+    (["verify", "--max-k", "-1", "--quick"], "--max-k must be at least 4, got -1"),
+    (["verify", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["verify", "--quick", "--jobs", "-2"], "--jobs must be at least 1, got -2"),
 ])
 def test_input_faults_exit_2(tmp_path, capsys, argv, message):
-    """Node indices past n and directories where files belong used to end
-    in tracebacks."""
+    """Node indices past n, directories where files belong and JSON nested
+    past the recursion limit used to end in tracebacks; a verify sweep that
+    checks nothing used to print PASS."""
     spec_path, arr_path = _spec_and_array(tmp_path, capsys)
     (tmp_path / "dir").mkdir()
-    names = {"SPEC": spec_path, "ARRAY": arr_path, "DIR": tmp_path / "dir", "X": tmp_path / "x.bin"}
-    code, _, err = run(capsys, *(str(names.get(a, a)) for a in argv))
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "deep_object.json").write_text('{"symbols": ' * 100_000)
+    names = {"SPEC": spec_path, "ARRAY": arr_path, "DIR": tmp_path / "dir", "X": tmp_path / "x.bin",
+             "DEEP": tmp_path / "deep.json", "DEEP_OBJECT": tmp_path / "deep_object.json"}
+    code, out, err = run(capsys, *(str(names.get(a, a)) for a in argv))
     assert code == 2
     assert message in err
+    assert "PASS" not in out
 
 
 @pytest.mark.parametrize("doc", [[1], {}, {"symbols": 3}, {"symbols": [1]}, {"symbols": [["1"]]},
@@ -491,3 +505,41 @@ def test_cli_inputs_never_raise(mutation, nodes, data):
         if nodes is not None:
             sim_argv.append("--nodes=" + ",".join(map(str, nodes)))
         assert _quiet_main(sim_argv) in (0, 2, 3)
+
+
+# The PBDSS1 blob of a random array of the fuzz spec; its header fields
+# (k, n, p, m, reduction length) are u16 at bytes 6..15.
+_FUZZ_CODE = CodeSpec.from_json(_FUZZ_SPEC)
+_FUZZ_BLOB = write_code_array(encode(_FUZZ_CODE, DataArray.random(_FUZZ_CODE.field, 4, random.Random(1))))
+_U16 = st.sampled_from([0, 1, 2, 3, 7, 256, 65521, 65535]) | st.integers(0, 65535)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(header=st.dictionaries(st.integers(0, 4), _U16, max_size=3),
+       flips=st.lists(st.tuples(st.integers(0, len(_FUZZ_BLOB) - 1), st.integers(1, 255)), max_size=3),
+       cut=st.none() | st.integers(0, len(_FUZZ_BLOB) - 1),
+       nodes=st.booleans())
+@example(header={0: 0, 1: 0}, flips=[], cut=None, nodes=False)  # an empty array, read without error
+@example(header={2: 0}, flips=[], cut=None, nodes=False)  # p = 0
+@example(header={3: 0}, flips=[], cut=None, nodes=False)  # m = 0
+@example(header={4: 65535}, flips=[], cut=None, nodes=False)  # reduction past the end
+@example(header={2: 65521}, flips=[], cut=None, nodes=True)  # a valid array over GF(65521)
+@example(header={}, flips=[(len(_FUZZ_BLOB) - 1, 0x0F)], cut=None, nodes=False)  # erasure bits set
+def test_array_blobs_never_raise(header, flips, cut, nodes):
+    """Mutated PBDSS1 blobs (header fields set to any u16, flipped bytes,
+    truncations): read_code_array parses them or raises ValueError, and
+    repair-sim --array ends with exit 0, 2 or 3, never a traceback."""
+    blob = bytearray(_FUZZ_BLOB)
+    for field, value in header.items():
+        struct.pack_into("<H", blob, 6 + 2 * field, value)
+    for at, mask in flips:
+        blob[at] ^= mask
+    blob = bytes(blob[:cut])
+    with contextlib.suppress(ValueError):
+        read_code_array(blob)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, arr = Path(tmp) / "spec.json", Path(tmp) / "arr.bin"
+        spec.write_text(_FUZZ_SPEC)
+        arr.write_bytes(blob)
+        argv = ["repair-sim", "--spec", spec, "--array", arr] + (["--nodes", "0,5"] if nodes else [])
+        assert _quiet_main(argv) in (0, 2, 3)

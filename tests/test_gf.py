@@ -10,6 +10,8 @@ from pbdss.gf import (
     FieldMismatchError,
     FieldSpec,
     Symbol,
+    _zech_table,
+    array_sub,
     batch_rank,
     default_reduction,
     field_arith,
@@ -298,7 +300,8 @@ def _random_matrix(f, rng, rows, cols):
 
 @pytest.mark.parametrize(
     "p,m",
-    [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2), (7, 3), (11, 1), (13, 1), (2, 8), (2, 11), (2, 16)],
+    [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2), (7, 3), (11, 1), (13, 1), (2, 8), (2, 11), (2, 16),
+     (3, 4), (5, 3), (3, 10)],
 )
 def test_batch_rank_matches_reference(p, m):
     f = FieldSpec(p, m)
@@ -333,6 +336,49 @@ def test_batch_rank_empty_and_bad_shapes():
     assert batch_rank(f, np.zeros((2, 3, 0), dtype=int)).tolist() == [0, 0]
     with pytest.raises(ValueError, match="stack"):
         batch_rank(f, [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (11, 1), (13, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+                                 (7, 2), (7, 3)])
+def test_array_sub_every_pair(p, m):
+    """The array kernel equals the scalar digit-wise FieldSpec.sub on every
+    (a, b), zero operands and a = b included."""
+    f = FieldSpec(p, m)
+    a, b = np.divmod(np.arange(f.q * f.q), f.q)
+    assert array_sub(f, a, b).tolist() == [f.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+
+@pytest.mark.parametrize("p,m", [(3, 10), (251, 2), (65521, 1)])
+def test_array_sub_large_fields(p, m):
+    """Sampled pairs against FieldSpec.sub, plus every (0, b), (a, 0) and (a, a)."""
+    f = FieldSpec(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    a, b = rng.integers(0, f.q, (2, 3000))
+    assert array_sub(f, a, b).tolist() == [f.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    every = np.arange(f.q)
+    assert array_sub(f, 0, every).tolist() == [f.neg(x) for x in every.tolist()]
+    assert array_sub(f, every, 0).tolist() == every.tolist()
+    assert not array_sub(f, every, every).any()
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (11, 1), (7, 3)])
+def test_array_sub_broadcasts_scalars(p, m):
+    f = FieldSpec(p, m)
+    x = np.arange(f.q).reshape(1, -1)
+    neg = [[f.neg(v) for v in range(f.q)]]
+    assert array_sub(f, 0, x).tolist() == neg
+    assert array_sub(f, x, 0).tolist() == x.tolist()
+    assert array_sub(f, np.zeros((3, 1), dtype=np.int64), x).tolist() == neg * 3
+    assert int(array_sub(f, 0, np.int64(1))) == f.neg(1)
+
+
+def test_zech_tables_are_shared_and_read_only():
+    f = FieldSpec(3, 2)
+    table = _zech_table(f.p, f.m, f.reduction)
+    assert _zech_table(3, 2, default_reduction(3, 2)) is table
+    assert len(table) == 6 * (f.q - 1) + 1  # O(q), not q**2
+    with pytest.raises(ValueError):
+        table[0] = 0
 
 
 def test_symbol_value_range():
