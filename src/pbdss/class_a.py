@@ -459,15 +459,22 @@ def decode_multi_class_a(
     masked symbol is ever read.  The pattern's DecodePlan, compiled once
     and cached, is replayed by plan.replay over the symbols it reads.
     """
+    erased = _decode_erased(array, code, erased_nodes)
+    columns = {j: [row[j] for row in array.rows] for j in range(code.k) if j not in erased}
+    columns.update(erased)
+    return columns
+
+
+def _decode_erased(array: CodeArray, code, erased_nodes) -> dict[int, list[int]]:
+    """The columns of the erased nodes only, as decode_multi_class_a
+    recovers them (repair_multi needs no others)."""
     spec, n = _split(code)
-    k = spec.k
     erased = set(erased_nodes or ())
     if any(not 0 <= j < n for j in erased):
         raise ValueError("erased node index outside the code")
     erased |= array.erased_nodes()
     plan = decode_plan(_interned(code), tuple(sorted(erased)))
-    columns = {j: [row[j] for row in array.rows] for j in range(k) if j not in erased}
-    if plan.nodes:
-        values = replay(plan, array.rows)
-        columns.update(zip(plan.nodes, values.reshape(len(plan.nodes), k).tolist()))
-    return columns
+    if not plan.nodes:
+        return {}
+    values = replay(plan, array.rows)
+    return dict(zip(plan.nodes, values.reshape(len(plan.nodes), spec.k).tolist()))

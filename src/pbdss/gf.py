@@ -19,11 +19,15 @@ batch_rank, the rank kernel of the MDS check, the exhaustive
 fault-tolerance search and the min-read search's gaps; pivot_step, the row
 update of eliminate and of each min-read search step; eliminate, the
 solver of the MDS generator, of the multi-node decoder and of
-oracle.ml_decode; and matmul, which replays plans.  Their one subtraction,
-array_sub, is XOR for p = 2, a compare-and-add for odd primes and, for
-odd-p extension fields, one lookup in an O(q) Zech-logarithm table
-between the exp/log lookups, so no elimination step loops over digits or
-takes a full-array % p (matmul's sums along an axis still do).  The
+oracle.ml_decode; and matmul, the products of class_a (decode-plan
+compiles and encode_class_a).  Their one subtraction, array_sub, is XOR
+for p = 2, a compare-and-add for odd primes and, for odd-p extension
+fields, one lookup in an O(q) Zech-logarithm table between the exp/log
+lookups.  Their one field sum, _add_reduce, serves matmul and the segment
+sums with which plan.replay streams a plan's nonzero terms: XOR for
+p = 2, an integer sum and one % p for odd primes and, for odd-p extension
+fields, a sum over an O(q * m) table of every element's digits, one % p
+and one dot with the powers of p.  So no kernel loops over digits.  The
 scalar solvers (row_reduce, solve_values, gaussian_solve, matrix_rank)
 stay public as the reference the tests check the kernels against.  No
 module uses the q**2 dense tables any more; they stay only for the
@@ -613,18 +617,40 @@ def array_sub(field: FieldSpec, a, b) -> np.ndarray:
     return exp[la + _zech_table(p, field.m, field.reduction)[log[b] - la + 3 * (field.q - 1)]]
 
 
-def _add_reduce(field: FieldSpec, a: np.ndarray, axis: int) -> np.ndarray:
-    """Field sum of the entries of a along one axis."""
+@functools.lru_cache(maxsize=16)
+def _digit_table(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base-p digits of every element of GF(p^m), one (q, m) row each,
+    and the powers of p that put digits back together.
+
+    Addition is digit-wise mod p, so a field sum of elements is the sum of
+    their digit rows, % p, dotted with the powers.  Both are int64, so
+    the sums cannot overflow; built once per (p, m) and read-only.
+    """
+    powers = p ** np.arange(m, dtype=np.int64)
+    digits = np.arange(p**m, dtype=np.int64)[:, None] // powers % p
+    for t in (digits, powers):
+        t.flags.writeable = False
+    return digits, powers
+
+
+def _add_reduce(field: FieldSpec, a: np.ndarray, axis: int, starts=None) -> np.ndarray:
+    """Field sum of the entries of a along one axis (counted from the front).
+
+    With `starts`, the sums of the segments a[starts[i]:starts[i + 1]]
+    along the axis instead, as ufunc.reduceat takes them (every segment
+    must be non-empty).  XOR for p = 2, an integer sum and one % p for odd
+    primes; for odd-p extension fields the sum of each element's digit row
+    (_digit_table), one % p and one dot with the powers of p.
+    """
     p = field.p
+    if p > 2 and field.m > 1:
+        digits, powers = _digit_table(p, field.m)
+        a = digits[a]
+    ufunc = np.bitwise_xor if p == 2 else np.add
+    total = ufunc.reduce(a, axis=axis) if starts is None else ufunc.reduceat(a, starts, axis=axis)
     if p == 2:
-        return np.bitwise_xor.reduce(a, axis=axis)
-    if field.m == 1:
-        return a.sum(axis=axis) % p
-    out = 0
-    for i in range(field.m):
-        w = p**i
-        out = out + (a // w % p).sum(axis=axis) % p * w
-    return out
+        return total
+    return total % p if field.m == 1 else total % p @ powers
 
 
 def batch_rank(field: FieldSpec, mats) -> np.ndarray:

@@ -3,12 +3,17 @@
 A repair, an encode or a multi-node decode does the same arithmetic
 whatever the data, so each is compiled once into a RepairPlan: the
 symbols it reads, in read order, and one GF(q) matrix from those reads to
-the symbols it outputs.  `replay` gathers the reads from the stored values
-and applies the matrix; every plan runs through it.  `execute` replays a
-repair session: it also rebuilds the session's read trace from the plan
-and adds the field-operation counts that the plan's stages recorded at
-compile time to the caller's counter.  Nothing here knows the schedules
-that build plans.
+the symbols it outputs.  When a plan is built, its matrix is also
+compiled into the form the executor streams (Terms): the logs of its
+nonzero coefficients, the read each one multiplies, and where each
+output's terms start.  `replay` gathers the reads from the stored values,
+takes their logs once, does one exp lookup per term and one segment sum
+per output, so its work follows the nonzero terms that the paper's repair
+complexity counts, not the size of the matrix; every plan runs through
+it.  `execute` replays a repair session: it also rebuilds the session's
+read trace from the plan and adds the field-operation counts that the
+plan's stages recorded at compile time to the caller's counter.  Nothing
+here knows the schedules that build plans.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
-from .gf import FieldSpec, matmul
+from .gf import FieldSpec, _add_reduce, _rank_tables, rank_batch_len
 
 NodePos = tuple[int, int]  # (node, row)
 
@@ -85,6 +91,35 @@ class Stage:
     muls: int
 
 
+class Terms(NamedTuple):
+    """A plan's matrix in the form replay streams: its nonzero entries, row
+    by row and, within a row, in read order.
+
+    Term t multiplies read `reads[t]` by the coefficient whose log (in the
+    tables of gf._rank_tables) is `logs[t]`; row s sums the terms from
+    `starts[s]` up to the next row's start.  A row with no nonzero entry
+    keeps one zero term on read 0: its log is log 0, which sends the
+    product into the zero pad of exp, so every row has a term and no
+    replay needs a mask.
+    """
+
+    logs: np.ndarray  # int32
+    reads: np.ndarray  # int32
+    starts: np.ndarray  # int32
+
+
+def _terms(field: FieldSpec, matrix: np.ndarray) -> Terms:
+    """Compile a matrix into its Terms."""
+    _, log = _rank_tables(field.p, field.m, field.reduction)
+    keep = matrix != 0
+    if keep.shape[1]:
+        keep[:, 0] |= ~keep.any(axis=1)
+    rows, cols = keep.nonzero()
+    starts = np.zeros(len(matrix), dtype=np.int32)
+    np.cumsum(keep.sum(axis=1)[:-1], out=starts[1:])
+    return Terms(log[matrix[rows, cols]].astype(np.int32), cols.astype(np.int32), starts)
+
+
 @dataclass(frozen=True, eq=False)
 class RepairPlan:
     """Output symbol s = sum over t of matrix[s, t] * (stored symbol reads[t]).
@@ -93,8 +128,11 @@ class RepairPlan:
     `matrix` is None when the plan's erasure pattern is not decodable;
     replaying it raises UnrecoverableErasureError(error, rank, needed).
     `stages` hold the schedule the matrix was composed from and its field-
-    operation counts; `per_symbol` and `cache` rebuild the ReadTrace of
-    each replay.
+    operation counts; `per_symbol` and `caches_repaired` rebuild the
+    ReadTrace of each replay: the session cache holds the reads and, when
+    `caches_repaired` (a data-node session), the repaired symbols too.
+    `terms` (the matrix as replay streams it) and the totals `adds` and
+    `muls` of the stages are derived once, when the plan is built.
     """
 
     field: FieldSpec
@@ -102,10 +140,19 @@ class RepairPlan:
     matrix: np.ndarray | None
     stages: tuple[Stage, ...] = ()
     per_symbol: tuple[tuple[NodePos, int], ...] = ()
-    cache: frozenset = frozenset()
+    caches_repaired: bool = False
     error: str = ""
     rank: int = 0
     needed: int = 0
+    terms: Terms | None = dc_field(init=False, repr=False)
+    adds: int = dc_field(init=False)
+    muls: int = dc_field(init=False)
+
+    def __post_init__(self):
+        terms = None if self.matrix is None else _terms(self.field, self.matrix)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "adds", sum(s.adds for s in self.stages))
+        object.__setattr__(self, "muls", sum(s.muls for s in self.stages))
 
 
 @functools.lru_cache(maxsize=16)
@@ -116,21 +163,40 @@ def positions(n: int, k: int) -> tuple[tuple[NodePos, ...], ...]:
 
 
 def replay(plan: RepairPlan, stored) -> np.ndarray:
-    """The plan's (S, L) outputs over `stored`: gather its reads, one product.
+    """The plan's (S, L) outputs over `stored`, streamed through its terms.
 
     `stored` holds the stored symbols: a list of k rows of n values (one
     lane, L = 1), or a (k, n, L) integer array, a block of L symbols per
     (row, node) with each lane replayed independently.  Only the plan's
-    reads are touched.
+    reads are touched.  Gather the reads and take their logs once; then
+    one exp lookup per term and one segment sum per output
+    (gf._add_reduce).  The outputs have the dtype of `stored` (int64 for
+    lists).  Lanes go a block at a time: besides the gathered reads and
+    the outputs, no temporary holds much more than gf.RANK_BATCH_ENTRIES
+    entries per digit of an element, whatever L is.
     """
     if plan.matrix is None:
         raise UnrecoverableErasureError(plan.error, rank=plan.rank, needed=plan.needed)
-    if isinstance(stored, np.ndarray):
-        nodes, rows = np.array(plan.reads, dtype=np.intp).reshape(-1, 2).T
-        values = stored[rows, nodes]
-    else:
-        values = np.array([stored[r][c] for c, r in plan.reads], dtype=np.int64)[:, None]
-    return matmul(plan.field, plan.matrix, values)
+    f, terms = plan.field, plan.terms
+    if not isinstance(stored, np.ndarray):
+        values = np.array([stored[r][c] for c, r in plan.reads], dtype=np.int64)
+        return _lanes(f, terms, values)[:, None]
+    nodes, rows = np.array(plan.reads, dtype=np.intp).reshape(-1, 2).T
+    values = stored[rows, nodes]
+    out = np.empty((len(terms.starts), values.shape[1]), dtype=values.dtype)
+    step = rank_batch_len(len(terms.logs), f.m if f.p > 2 else 1)
+    for lo in range(0, values.shape[1], step):
+        out[:, lo : lo + step] = _lanes(f, terms, values[:, lo : lo + step])
+    return out
+
+
+def _lanes(field: FieldSpec, terms: Terms, values: np.ndarray) -> np.ndarray:
+    """The (S,) or (S, L) outputs over the (R,) or (R, L) values of the reads."""
+    if not len(terms.logs):  # the plan reads nothing: every output is 0
+        return np.zeros((len(terms.starts), *values.shape[1:]), dtype=np.int64)
+    exp, log = _rank_tables(field.p, field.m, field.reduction)
+    logs = terms.logs if values.ndim == 1 else terms.logs[:, None]
+    return _add_reduce(field, exp[log[values][terms.reads] + logs], 0, terms.starts)
 
 
 def execute(plan: RepairPlan, stored, counter=None) -> tuple[np.ndarray, ReadTrace]:
@@ -138,6 +204,10 @@ def execute(plan: RepairPlan, stored, counter=None) -> tuple[np.ndarray, ReadTra
     from the plan; the counts of its stages are added to `counter`."""
     out = replay(plan, stored)
     if counter is not None:
-        counter.adds += sum(s.adds for s in plan.stages)
-        counter.muls += sum(s.muls for s in plan.stages)
-    return out, ReadTrace(list(plan.reads), set(plan.cache), dict(plan.per_symbol))
+        counter.adds += plan.adds
+        counter.muls += plan.muls
+    per_symbol = dict(plan.per_symbol)
+    cache = set(plan.reads)
+    if plan.caches_repaired:
+        cache.update(per_symbol)
+    return out, ReadTrace(list(plan.reads), cache, per_symbol)

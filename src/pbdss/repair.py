@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .class_a import ClassASpec, _compact, _interned, decode_multi_class_a, decode_plan
+from .class_a import ClassASpec, _compact, _decode_erased, _interned, decode_plan
 from .class_b import ClassBSpec, construct1_parities, construct2_parities
 from .gf import FieldSpec
 from .layout import CodeArray, DataArray, q_set
-from .plan import NodePos, ReadTrace, RepairPlan, Stage, execute, positions
+from .plan import NodePos, ReadTrace, RepairPlan, Stage, execute, positions, replay
 
 # Plans are cached by value.  The bound holds the unmasked plans (one per
 # node, plus encode) of as many codes as class_a._interned keeps, 16, at up
@@ -163,14 +163,19 @@ def _check_json(value, schema, where: str) -> None:
 def encode(spec: CodeSpec, data: DataArray, counter=None) -> CodeArray:
     """Systematic columns, then MDS/piggyback parities, then sum parities.
 
-    Replays the encode plan: every parity symbol from the data.
+    Replays the encode plan, every parity symbol from the data, and builds
+    no read trace; the plan's operation totals go to `counter`.
     """
     if data.field != spec.field:
         raise ValueError("data array and spec use different fields")
     if data.k != spec.k:
         raise ValueError("data array dimension does not match spec")
     k, n = spec.k, spec.n
-    parities, _ = execute(repair_plan(_interned(spec), None, ()), data.rows, counter)
+    plan = repair_plan(_interned(spec), None, ())
+    parities = replay(plan, data.rows)
+    if counter is not None:
+        counter.adds += plan.adds
+        counter.muls += plan.muls
     columns = parities.reshape(n - k, k).T.tolist()
     rows = [data.rows[i] + columns[i] for i in range(k)]
     return CodeArray(spec.field, k, n, rows, [[False] * n for _ in range(k)])
@@ -333,7 +338,7 @@ class _Session:
             matrix,
             tuple(self.stages),
             tuple(trace.per_symbol.items()),
-            frozenset(trace.cache),
+            caches_repaired=not self.independent,
         )
 
 
@@ -428,5 +433,5 @@ def repair_multi(array: CodeArray, failed, spec: CodeSpec):
     failed = sorted(set(failed))
     if any(not 0 <= x < spec.n for x in failed):
         raise ValueError("failed node index out of range")
-    columns = decode_multi_class_a(array, spec, failed)
+    columns = _decode_erased(array, spec, failed)
     return {node: columns[node] for node in failed}

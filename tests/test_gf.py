@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 from pathlib import Path
@@ -10,6 +11,8 @@ from pbdss.gf import (
     FieldMismatchError,
     FieldSpec,
     Symbol,
+    _add_reduce,
+    _digit_table,
     _zech_table,
     array_sub,
     batch_rank,
@@ -379,6 +382,35 @@ def test_zech_tables_are_shared_and_read_only():
     assert len(table) == 6 * (f.q - 1) + 1  # O(q), not q**2
     with pytest.raises(ValueError):
         table[0] = 0
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (11, 1), (2, 8), (3, 2), (3, 3), (5, 2), (7, 2), (3, 10), (251, 2),
+                                 (65521, 1)])
+def test_add_reduce_matches_scalar_fold(p, m):
+    """The field sum, along an axis and over segments, equals a fold of the
+    scalar FieldSpec.add.  Segments of 300 and 1,000 copies of q - 1, whose
+    digits are all p - 1, would overflow a uint8 digit accumulator."""
+    f = FieldSpec(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    lengths = [1, 2, 7, 300, 1000, 40]
+    a = rng.integers(0, f.q, (sum(lengths), 3))
+    a[10:1310:2] = f.q - 1
+    starts = np.cumsum([0, *lengths[:-1]])
+    fold = functools.partial(functools.reduce, f.add)
+    want = [[fold(a[lo : lo + n, lane].tolist(), 0) for lane in range(3)] for lo, n in zip(starts, lengths)]
+    got = _add_reduce(f, a, 0, starts)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert _add_reduce(f, a[10:310:2].T, 1).tolist() == [fold(a[10:310:2, lane].tolist(), 0) for lane in range(3)]
+    full = np.full((1, 300), f.q - 1)
+    assert _add_reduce(f, full, 1).tolist() == [fold([f.q - 1] * 300, 0)]
+
+
+def test_digit_tables_are_shared_and_read_only():
+    digits, powers = _digit_table(3, 2)
+    assert _digit_table(3, 2)[0] is digits
+    assert digits.shape == (9, 2) and (digits @ powers).tolist() == list(range(9))
+    with pytest.raises(ValueError):
+        digits[0, 0] = 1
 
 
 def test_symbol_value_range():

@@ -2,27 +2,38 @@
 
 A plan is checked against the data it must restore under random erasure
 masks (oracle.ml_decodable decides which patterns must raise), stage by
-stage against scalar FieldSpec arithmetic, at L = 4096 lanes against
-L = 1, against the generator, and through its bounded cache.
+stage against scalar FieldSpec arithmetic, at L = 4096 and L = 65,536
+lanes against L = 1, against the generator, and through its bounded
+cache.  Its compiled terms must rebuild its matrix, replay must handle
+hand-built edge plans, and the read trace rebuilt on each replay must
+equal the one the session logged while it was compiled.
 """
 
 import dataclasses
 import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pbdss.class_a import ClassASpec, UnrecoverableErasureError, _generator, _interned, fault_tolerance
+from pbdss.class_a import (
+    ClassASpec,
+    UnrecoverableErasureError,
+    _generator,
+    _interned,
+    decode_plan,
+    fault_tolerance,
+)
 from pbdss.class_b import construct1_parities, construct2_parities
-from pbdss.gf import FieldSpec
+from pbdss.gf import FieldSpec, _rank_tables
 from pbdss.layout import CodeArray, DataArray
 from pbdss.metrics import OpCounter
 from pbdss.oracle import ml_decodable
-from pbdss.plan import execute, replay
+from pbdss.plan import ReadTrace, RepairPlan, execute, replay
 from pbdss.repair import (
     REPAIR_PLAN_CACHE_SIZE,
     CodeSpec,
@@ -185,11 +196,16 @@ STRIPE_SHAPES = [  # (k, n_a, n_b, tau, construction, (p, m))
 ]
 
 
+@functools.cache
+def _stripe_code(shape):
+    k, n_a, n_b, tau, construction, field = shape
+    return _interned(CodeSpec.build(k, n_a, n_b, tau, construction=construction, field=FieldSpec(*field)))
+
+
 @pytest.mark.parametrize("shape", STRIPE_SHAPES, ids=lambda s: "-".join(map(str, s[:5])) + "-gf%d^%d" % s[5])
 def test_lanes_equal_single_lane_replays(shape):
-    k, n_a, n_b, tau, construction, field = shape
-    code = CodeSpec.build(k, n_a, n_b, tau, construction=construction, field=FieldSpec(*field))
-    n, q, lanes = code.n, code.field.q, 4096
+    code = _stripe_code(shape)
+    k, n, q, lanes = code.k, code.n, code.field.q, 4096
     rng = np.random.default_rng(q * k)
     data = rng.integers(0, q, size=(k, k, lanes), dtype=np.uint8)
     parities = replay(repair_plan(_interned(code), None, ()), data)
@@ -205,6 +221,159 @@ def test_lanes_equal_single_lane_replays(shape):
         for lane in picks:
             column, _ = execute(plan, stored[:, :, lane].tolist())
             assert column[:, 0].tolist() == out[:, lane].tolist()
+
+
+@pytest.mark.parametrize("shape", STRIPE_SHAPES, ids=lambda s: "-".join(map(str, s[:5])) + "-gf%d^%d" % s[5])
+def test_64k_lanes_equal_single_lane_replays(shape):
+    """Encode and two repairs at L = 65,536, lanes taken a block at a time:
+    every lane a codeword, sampled lanes equal to L = 1 replays."""
+    code = _stripe_code(shape)
+    k, n, q, lanes = code.k, code.n, code.field.q, 1 << 16
+    rng = np.random.default_rng(q * k + 1)
+    data = rng.integers(0, q, size=(k, k, lanes), dtype=np.uint8)
+    parities = replay(repair_plan(code, None, ()), data)
+    assert parities.shape == ((n - k) * k, lanes) and parities.dtype == np.uint8
+    stored = np.concatenate([data, parities.reshape(n - k, k, lanes).transpose(1, 0, 2)], axis=1)
+    picks = [0, lanes - 1, *rng.integers(0, lanes, size=6).tolist()]
+    for lane in picks:
+        single = encode(code, DataArray(code.field, data[:, :, lane].tolist()))
+        assert single.rows == stored[:, :, lane].tolist()
+    for node in (0, n - 1):
+        plan = repair_plan(code, node, ())
+        out = replay(plan, stored)
+        assert (out == stored[:, node]).all()
+        for lane in picks:
+            assert replay(plan, stored[:, :, lane].tolist())[:, 0].tolist() == out[:, lane].tolist()
+
+
+def test_encode_replay_memory_stays_bounded():
+    """A (16,10) construction-2 GF(2^8) encode of 65,536 lanes (6.25 MiB of
+    data) allocates well under 64 MiB: its temporaries are one block of
+    lanes, never one int64 per term and lane."""
+    code = _stripe_code(STRIPE_SHAPES[-1])
+    plan = repair_plan(code, None, ())
+    data = np.random.default_rng(5).integers(0, 256, size=(10, 10, 1 << 16), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        replay(plan, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
+def _rebuilt(plan):
+    """The dense matrix the plan's terms stand for."""
+    terms, f = plan.terms, plan.field
+    exp, _ = _rank_tables(f.p, f.m, f.reduction)
+    rows = np.repeat(np.arange(len(terms.starts)), np.diff([*terms.starts, len(terms.logs)]))
+    dense = np.zeros(plan.matrix.shape, dtype=np.int64)
+    dense[rows, terms.reads] = exp[terms.logs]
+    return dense, rows
+
+
+def _check_terms(plan):
+    terms, matrix = plan.terms, plan.matrix
+    assert {a.dtype for a in terms} == {np.dtype(np.int32)}
+    dense, rows = _rebuilt(plan)
+    assert (dense == matrix).all()
+    # the nonzero entries in row-major order, plus one zero term per empty row
+    empty = int((~matrix.any(axis=1)).sum())
+    assert len(terms.logs) == np.count_nonzero(matrix) + empty
+    assert (np.diff(rows * matrix.shape[1] + terms.reads) > 0).all()
+
+
+def test_terms_rebuild_every_matrix(spec_10_5):
+    checked = 0
+    for shape in STRIPE_SHAPES:
+        code = _stripe_code(shape)
+        for node in [None, *range(code.n)]:
+            _check_terms(repair_plan(code, node, ()))
+            checked += 1
+    code = _interned(spec_10_5)
+    undecodable = 0
+    for t in range(1, 4):
+        for erased in itertools.combinations(range(code.n), t):
+            plan = decode_plan(code, erased)
+            if plan.matrix is None:
+                assert plan.terms is None
+                undecodable += 1
+                continue
+            _check_terms(plan)
+            checked += 1
+    assert checked == 6 + sum(_stripe_code(s).n for s in STRIPE_SHAPES) + 175 - undecodable
+    assert undecodable > 0
+
+
+@pytest.mark.parametrize("field", [(2, 3), (11, 1), (3, 2), (2, 8)])
+def test_sparse_replay_edge_plans(field):
+    """Hand-built plans: an all-zero row, a one-term plan, an all-zero
+    matrix, a plan that reads nothing, and all-zero read values."""
+    f = FieldSpec(*field)
+    rng = random.Random(f.q)
+    reads = ((0, 0), (1, 0), (0, 1), (2, 1))
+    stored = [[rng.randrange(1, f.q) for _ in range(3)] for _ in range(2)]
+    zeros = [[0] * 3 for _ in range(2)]
+    c = [rng.randrange(1, f.q) for _ in range(4)]
+    cases = [
+        (reads, [[0, 0, 0, 0], [c[0], 0, c[1], 0], [0, 0, 0, 0], [0, c[2], 0, c[3]], [0, 0, 0, 0]]),
+        (reads[3:], [[c[0]]]),
+        (reads[:2], [[0, 0], [0, 0]]),
+        ((), [[], []]),
+    ]
+    for plan_reads, rows in cases:
+        matrix = np.array(rows, dtype=np.uint8 if f.q <= 256 else np.uint16).reshape(len(rows), len(plan_reads))
+        plan = RepairPlan(f, plan_reads, matrix)
+        for values in (stored, zeros):
+            want = [functools.reduce(f.add, [f.mul(int(coeff), values[r][node])
+                                             for coeff, (node, r) in zip(row, plan_reads)], 0)
+                    for row in matrix]
+            assert replay(plan, values)[:, 0].tolist() == want
+            block = np.repeat(np.array(values, dtype=np.int64)[:, :, None], 3, axis=2)
+            assert replay(plan, block).tolist() == [[w] * 3 for w in want]
+        if plan_reads:
+            _check_terms(plan)
+
+
+def _session_walk(plan, data_node: bool) -> ReadTrace:
+    """The trace a session logs while it runs the plan's stages: each
+    uncached source is read once; in a data-node session each repaired
+    symbol joins the cache and counts the reads it issued, in a parity
+    session (or encode) each symbol counts every term it takes."""
+    walk = ReadTrace()
+    for st in plan.stages:
+        issued = sum(walk.read(*pos) for pos in st.sources)
+        if data_node:
+            walk.cache.add(st.symbol)
+        walk.per_symbol[st.symbol] = issued if data_node else len(st.sources)
+    return walk
+
+
+def test_rebuilt_traces_equal_the_session_logs(spec_10_5, spec_9_5):
+    """Every node of the six stripe shapes, unmasked and with its next node
+    masked (most data nodes then escalate to a decode), plus the masked and
+    escalated cases above: the trace rebuilt from the plan (reads, cache and
+    per-symbol counts) equals the session's log."""
+    codes = [_stripe_code(shape) for shape in STRIPE_SHAPES]
+    cases = [(code, node, lost) for code in codes for node in range(code.n) for lost in ((), ((node + 1) % code.n,))]
+    cases += [(spec_10_5, 0, (1,)), (spec_9_5, 0, (6,)), (spec_9_5, 7, (3,))]
+    kinds = set()
+    for code, node, lost in cases:
+        rng = random.Random(node)
+        stored = encode(code, DataArray.random(code.field, code.k, rng))
+        array = _masked(code, stored, {node, *lost}, rng)
+        try:
+            column, trace = _repair(array, node, code)
+        except UnrecoverableErasureError:
+            continue
+        plan = repair_plan(_interned(code), node, tuple(sorted(lost)))
+        kinds |= {st.kind for st in plan.stages}
+        walk = _session_walk(plan, node < code.k)
+        assert column == [row[node] for row in stored.rows]
+        assert (trace.reads, trace.cache, list(trace.per_symbol.items())) == (
+            walk.reads, walk.cache, list(walk.per_symbol.items())), (code.n, code.k, node, lost)
+        assert execute(plan, stored.rows)[1] == trace
+    assert {"decode", "row-mds", "sum", "mds-parity", "sum-parity"} <= kinds
 
 
 def test_encode_plan_is_the_generator(spec_10_5, spec_7_4_h):
