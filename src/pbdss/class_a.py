@@ -227,7 +227,7 @@ def encode_class_a(data: DataArray, spec: ClassASpec) -> list[list[int]]:
         raise ValueError("data array dimension does not match spec")
     k = spec.k
     forms = _generator(_interned(spec))[k:].reshape(-1, k * k)
-    parities = matmul(spec.field, forms, np.array(data.rows, dtype=np.int64).T.reshape(-1, 1))
+    parities = matmul(spec.field, forms, data.symbols.T.reshape(-1, 1))
     return parities.reshape(spec.n_a - k, k).T.tolist()
 
 
@@ -460,9 +460,7 @@ def decode_multi_class_a(
     and cached, is replayed by plan.replay over the symbols it reads.
     """
     erased = _decode_erased(array, code, erased_nodes)
-    columns = {j: [row[j] for row in array.rows] for j in range(code.k) if j not in erased}
-    columns.update(erased)
-    return columns
+    return {**{j: array.symbols[:, j].tolist() for j in range(code.k) if j not in erased}, **erased}
 
 
 def _decode_erased(array: CodeArray, code, erased_nodes) -> dict[int, list[int]]:
@@ -472,9 +470,9 @@ def _decode_erased(array: CodeArray, code, erased_nodes) -> dict[int, list[int]]
     erased = set(erased_nodes or ())
     if any(not 0 <= j < n for j in erased):
         raise ValueError("erased node index outside the code")
-    erased |= array.erased_nodes()
+    erased.update(x for x in array.erased_nodes if x < n)  # nodes past the code are never read
     plan = decode_plan(_interned(code), tuple(sorted(erased)))
     if not plan.nodes:
         return {}
-    values = replay(plan, array.rows)
+    values = replay(plan, array.symbols)
     return dict(zip(plan.nodes, values.reshape(len(plan.nodes), spec.k).tolist()))

@@ -116,12 +116,10 @@ def cmd_repair_sim(args) -> int:
                 f"array is a ({array.n},{array.k}) code over {array.field!r}, "
                 f"but the spec is ({spec.n},{spec.k}) over {spec.field!r}"
             )
-        data = DataArray(spec.field, [row[: spec.k] for row in array.rows])
     if args.punctured:
         spec = puncture(spec, args.punctured)
     if not args.array:
-        data = DataArray.random(spec.field, spec.k, random.Random(args.seed))
-        array = encode(spec, data)
+        array = encode(spec, DataArray.random(spec.field, spec.k, random.Random(args.seed)))
 
     if args.nodes:
         # repair_multi treats the failed nodes as erased and checks their range
@@ -136,8 +134,7 @@ def cmd_repair_sim(args) -> int:
     traces = []
     for j in nodes:
         column, trace = repair_data_node(array, j, spec)
-        expect = [data.rows[i][j] for i in range(spec.k)]
-        status = "ok" if column == expect else "MISMATCH"
+        status = "ok" if column == array.symbols[:, j].tolist() else "MISMATCH"
         print(f"node {j}: {trace.total} reads ({status})")
         traces.append(trace)
     lam = sum(t.total for t in traces) / len(traces) / spec.k
@@ -156,8 +153,7 @@ def cmd_parity_sim(args) -> int:
     array = encode(spec, data)
     for node in range(spec.k, spec.n):
         column, trace = repair_parity_node(array, node, spec)
-        expect = [array.rows[i][node] for i in range(spec.k)]
-        status = "ok" if column == expect else "MISMATCH"
+        status = "ok" if column == array.symbols[:, node].tolist() else "MISMATCH"
         per = [trace.per_symbol[(node, i)] for i in range(spec.k)]
         print(f"parity node {node}: per-symbol reads {per} ({status})")
     return 0
@@ -204,7 +200,7 @@ def cmd_verify(args) -> int:
                 array = encode(spec, data)
                 for j in range(k):
                     col, trace = repair_data_node(array, j, spec)
-                    if col != [data.rows[i][j] for i in range(k)]:
+                    if col != data.symbols[:, j].tolist():
                         failures.append(f"repair mismatch at (n_a={n_a}, k={k}, tau={tau}) node {j}")
                     report = metrics.formula_bundle(spec.n, k, n_a, tau, spec.field)
                     if report.lambda_bound is not None and trace.total / k > report.lambda_bound + 1e-9:

@@ -378,6 +378,13 @@ class FieldSpec:
         return self._dense
 
 
+@functools.lru_cache(maxsize=16)  # a few fields per process, as for the tables
+def cached_field(p: int, m: int = 1, reduction: tuple[int, ...] | None = None) -> FieldSpec:
+    """FieldSpec(p, m, reduction), built once per triple for array reads and
+    spec loads; a bad triple raises every time (lru_cache stores no exception)."""
+    return FieldSpec(p, m, reduction)
+
+
 @dataclass(frozen=True)
 class Symbol:
     """One element of a finite field: canonical value plus its FieldSpec."""

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .gf import FieldSpec
+from .gf import FieldSpec, cached_field
 
 Position = tuple[int, int]
 
@@ -45,19 +43,13 @@ def x_set(j: int, k: int, tau: int) -> list[Position]:
     return [(j, mod_k(j + s, k)) for s in range(1, k - tau)]
 
 
-class IndexSetTriple(NamedTuple):
-    r: list[Position]
-    q: list[Position]
-    x: list[Position]
-
-
-def index_sets(j: int, k: int, tau: int) -> IndexSetTriple:
+def index_sets(j: int, k: int, tau: int) -> tuple[list[Position], list[Position], list[Position]]:
     """(R_j, Q_j, X_j) for node j; requires 0 <= j < k and 1 <= tau <= k-2."""
     if not 0 <= j < k:
         raise ValueError(f"node index {j} out of range for k={k}")
     if not 1 <= tau <= k - 2:
         raise ValueError(f"tau={tau} outside [1, {k - 2}]")
-    return IndexSetTriple(r_set(j, k), q_set(j, k, tau), x_set(j, k, tau))
+    return r_set(j, k), q_set(j, k, tau), x_set(j, k, tau)
 
 
 def in_q_set(pos: Position, k: int, tau: int) -> bool:
@@ -65,27 +57,36 @@ def in_q_set(pos: Position, k: int, tau: int) -> bool:
     return mod_k(i - j, k) > tau
 
 
-@dataclass
+def _symbols(field: FieldSpec, rows, shape: tuple[int, int], what: str) -> np.ndarray:
+    """`rows` as a read-only uint16 array, checked before the cast: it must
+    have `shape` and hold integers in [0, q).  The cast alone would wrap
+    -1, truncate 6.5 and overflow at 2**16."""
+    if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
+        raise ValueError(what)
+    values = np.array(rows)  # a float, a bool or an integer past 64 bits is no "iu" dtype
+    if values.shape != shape or values.dtype.kind not in "iu" or (
+            values.size and (values.min() < 0 or values.max() >= field.q)):
+        raise ValueError(f"symbol values must be integers in [0, {field.q})")
+    symbols = values.astype(np.uint16)
+    symbols.flags.writeable = False
+    return symbols
+
+
 class DataArray:
-    """k x k matrix of field-element values, entry d[i][j] at row i, col j."""
+    """k x k matrix of field-element values, entry d[i][j] at row i, col j:
+    one read-only (k, k) uint16 array, `symbols`; `rows` is a list copy."""
 
-    field: FieldSpec
-    rows: list[list[int]]
-
-    def __post_init__(self):
-        k = len(self.rows)
-        if any(len(r) != k for r in self.rows):
-            raise ValueError("data array must be square")
-        q = self.field.q
-        if any(not 0 <= v < q for r in self.rows for v in r):
-            raise ValueError("symbol value out of field range")
+    def __init__(self, field: FieldSpec, rows):
+        self.field = field
+        self.symbols = _symbols(field, rows, (len(rows), len(rows)), "data array must be square")
 
     @property
     def k(self) -> int:
-        return len(self.rows)
+        return len(self.symbols)
 
-    def __getitem__(self, pos: Position) -> int:
-        return self.rows[pos[0]][pos[1]]
+    @property
+    def rows(self) -> list[list[int]]:
+        return self.symbols.tolist()
 
     @classmethod
     def random(cls, field: FieldSpec, k: int, rng) -> "DataArray":
@@ -96,51 +97,62 @@ class DataArray:
         return cls(field, [[0] * k for _ in range(k)])
 
 
-@dataclass
 class CodeArray:
     """k x n array of stored symbols plus a per-symbol erasure mask.
 
     Column j is node j; row i is stripe i.  Columns [0, k) are systematic,
     [k, n_a) hold the MDS/piggyback parities and [n_a, n) the sum parities.
+    The symbols are one (k, n) uint16 array, `symbols`, and the mask one
+    (k, n) bool array, `mask`; both are read-only, except the symbols of a
+    `copy()`.  `rows` and `erased` are list copies of them, so writing to
+    those changes nothing.  `erased_nodes`, every node with a masked
+    symbol in increasing order, is computed whenever a mask is set.
     """
 
-    field: FieldSpec
-    k: int
-    n: int
-    rows: list[list[int]]
-    erased: list[list[bool]]
-
-    def __post_init__(self):
-        if len(self.rows) != self.k or any(len(r) != self.n for r in self.rows):
-            raise ValueError("code array must be k x n")
-        if len(self.erased) != self.k or any(len(r) != self.n for r in self.erased):
+    def __init__(self, field: FieldSpec, k: int, n: int, rows, erased):
+        symbols = _symbols(field, rows, (k, n), "code array must be k x n")
+        if len(erased) != k or any(len(r) != n for r in erased):
             raise ValueError("erasure mask must be k x n")
+        self._set(field, symbols, np.array(erased, dtype=bool).reshape(k, n))
+
+    @classmethod
+    def _wrap(cls, field: FieldSpec, symbols: np.ndarray, mask: np.ndarray | None = None) -> "CodeArray":
+        """An array over checked (k, n) uint16 symbols, not copied; no mask: none masked."""
+        array = cls.__new__(cls)
+        array._set(field, symbols, mask)
+        return array
+
+    def _set(self, field: FieldSpec, symbols: np.ndarray, mask: np.ndarray | None) -> None:
+        self.field, self.symbols, (self.k, self.n) = field, symbols, symbols.shape
+        if mask is None:
+            mask, self.erased_nodes = np.zeros(symbols.shape, dtype=bool), ()
+        else:
+            self.erased_nodes = tuple(itertools.compress(range(self.n), mask.any(axis=0).tolist()))
+        mask.flags.writeable = False
+        self.mask = mask
+
+    @property
+    def rows(self) -> list[list[int]]:
+        return self.symbols.tolist()
+
+    @property
+    def erased(self) -> list[list[bool]]:
+        return self.mask.tolist()
 
     def get(self, row: int, node: int) -> int:
-        if self.erased[row][node]:
+        if self.mask[row, node]:
             raise ValueError(f"symbol ({row}, {node}) is erased")
-        return self.rows[row][node]
-
-    def erased_nodes(self) -> set[int]:
-        """Every node with at least one masked symbol."""
-        return set(itertools.compress(range(self.n), map(any, zip(*self.erased))))
+        return int(self.symbols[row, node])
 
     def erase_nodes(self, nodes) -> None:
-        for node in nodes:
-            for i in range(self.k):
-                self.erased[i][node] = True
-
-    def data_columns(self) -> list[list[int]]:
-        return [[self.rows[i][j] for i in range(self.k)] for j in range(self.k)]
+        """Mask every symbol of `nodes`, through a new mask."""
+        mask = self.mask.copy()
+        mask[:, list(nodes)] = True
+        self._set(self.field, self.symbols, mask)
 
     def copy(self) -> "CodeArray":
-        return CodeArray(
-            self.field,
-            self.k,
-            self.n,
-            [list(r) for r in self.rows],
-            [list(r) for r in self.erased],
-        )
+        """The same array over a writable copy of the symbols; the mask is shared."""
+        return CodeArray._wrap(self.field, self.symbols.copy(), self.mask)
 
 
 def write_code_array(array: CodeArray) -> bytes:
@@ -151,13 +163,10 @@ def write_code_array(array: CodeArray) -> bytes:
     erasure mask row-major, one bit per symbol, LSB first.
     """
     field = array.field
-    head = ARRAY_MAGIC + struct.pack(
-        "<5H", array.k, array.n, field.p, field.m, len(field.reduction)
-    )
+    head = ARRAY_MAGIC + struct.pack("<5H", array.k, array.n, field.p, field.m, len(field.reduction))
     head += struct.pack(f"<{len(field.reduction)}H", *field.reduction)
-    body = struct.pack(f"<{array.k * array.n}H", *itertools.chain.from_iterable(array.rows))
-    mask = np.packbits(np.array(array.erased, dtype=bool).reshape(-1), bitorder="little")
-    return head + body + mask.tobytes()
+    mask = np.packbits(array.mask, bitorder="little")
+    return head + array.symbols.astype("<u2", copy=False).tobytes() + mask.tobytes()
 
 
 def _need(blob: bytes, off: int, size: int, part: str) -> None:
@@ -168,6 +177,8 @@ def _need(blob: bytes, off: int, size: int, part: str) -> None:
 
 
 def read_code_array(blob: bytes) -> CodeArray:
+    """The array a PBDSS1 blob holds; its symbols are a view of the blob."""
+    blob = bytes(blob)  # a view of a mutable buffer would change with it
     if blob[:6] != ARRAY_MAGIC:
         raise ValueError("bad magic: not a PBDSS1 array")
     off = len(ARRAY_MAGIC)
@@ -177,13 +188,12 @@ def read_code_array(blob: bytes) -> CodeArray:
     _need(blob, off, 2 * red_len, "reduction polynomial")
     reduction = struct.unpack_from(f"<{red_len}H", blob, off)
     off += 2 * red_len
-    field = FieldSpec(p, m, reduction)
+    field = cached_field(p, m, reduction)
     _need(blob, off, 2 * k * n, "symbols")
-    flat = struct.unpack_from(f"<{k * n}H", blob, off)
+    symbols = np.frombuffer(blob, dtype="<u2", count=k * n, offset=off).reshape(k, n)
     off += 2 * k * n
-    if flat and max(flat) >= field.q:
-        raise ValueError(f"symbol value {max(flat)} out of range for {field}")
-    rows = [list(flat[i * n : (i + 1) * n]) for i in range(k)]
+    if symbols.size and symbols.max() >= field.q:
+        raise ValueError(f"symbol value {symbols.max()} out of range for {field}")
     mask_len = (k * n + 7) // 8
     _need(blob, off, mask_len, "erasure mask")
     if len(blob) > off + mask_len:
@@ -191,6 +201,6 @@ def read_code_array(blob: bytes) -> CodeArray:
             f"PBDSS1 array has {len(blob) - off - mask_len} trailing bytes after the erasure mask "
             f"(bytes {off + mask_len}..{len(blob)})"
         )
-    mask = np.frombuffer(blob, dtype=np.uint8, count=mask_len, offset=off)
-    erased = np.unpackbits(mask, count=k * n, bitorder="little").astype(bool).reshape(k, n)
-    return CodeArray(field, k, n, rows, erased.tolist())
+    bits = np.frombuffer(blob, dtype=np.uint8, count=mask_len, offset=off)
+    mask = np.unpackbits(bits, count=k * n, bitorder="little").view(bool).reshape(k, n)
+    return CodeArray._wrap(field, symbols, mask)

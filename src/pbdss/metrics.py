@@ -30,10 +30,6 @@ class OpCounter:
     def bit_ops(self, nu: int) -> int:
         return self.adds * nu + self.muls * nu * nu
 
-    def reset(self) -> None:
-        self.adds = 0
-        self.muls = 0
-
 
 def f_sequence(n: int, k: int, n_a: int, tau: int) -> list[int]:
     """Parity symbols consumed per sum-parity node during one node repair:
@@ -133,10 +129,7 @@ def measured_lambda(spec: CodeSpec, seed: int = 0):
     rng = random.Random(seed)
     data = DataArray.random(spec.field, spec.k, rng)
     array = encode(spec, data)
-    traces = []
-    for j in range(spec.k):
-        _, trace = repair_data_node(array, j, spec)
-        traces.append(trace)
+    traces = [repair_data_node(array, j, spec)[1] for j in range(spec.k)]
     lam = sum(t.total for t in traces) / spec.k / spec.k
     return lam, traces
 

@@ -144,31 +144,24 @@ def ml_decode(code, array, pattern) -> dict[int, list[int]]:
     pattern = set(pattern)
     nodes = generator_rows(code)
     k = code.k
-    rows, rhs = [], []
-    for c, col in enumerate(nodes):
-        if c in pattern:
-            continue
-        for i, v in enumerate(col):
-            rows.append(v)
-            rhs.append(array.rows[i][c])
-    rows = np.array(rows, dtype=np.int64).reshape(-1, k * k)
-    rank, solved = eliminate(code.field, rows, np.array(rhs, dtype=np.int64)[:, None])
+    live = [c for c in range(len(nodes)) if c not in pattern]
+    rows = np.array([nodes[c] for c in live], dtype=np.int64).reshape(-1, k * k)
+    rhs = array.symbols[:, live].T.reshape(-1, 1)  # node by node, as the rows
+    rank, solved = eliminate(code.field, rows, rhs)
     if rank < k * k or solved[k * k :].any():
         raise UnrecoverableErasureError(
             f"pattern {sorted(pattern)} is not ML-decodable",
             rank=rank,
             needed=k * k,
         )
-    values = solved[: k * k, 0].tolist()
-    data = DataArray(code.field, [values[i * k : (i + 1) * k] for i in range(k)])
+    data = DataArray(code.field, solved[: k * k, 0].reshape(k, k))
     if isinstance(code, ClassASpec):
         from .class_a import encode_class_a
 
-        parities = encode_class_a(data, code)
-        full_rows = [list(data.rows[i]) + parities[i] for i in range(k)]
+        full = np.concatenate([data.symbols, np.array(encode_class_a(data, code), dtype=np.uint16)], axis=1)
     else:
-        full_rows = encode_full(code, data).rows
-    return {c: [full_rows[i][c] for i in range(k)] for c in sorted(pattern)}
+        full = encode_full(code, data).symbols
+    return {c: full[:, c].tolist() for c in sorted(pattern)}
 
 
 # -- minimal-read repair search ------------------------------------------------

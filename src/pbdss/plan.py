@@ -131,8 +131,9 @@ class RepairPlan:
     operation counts; `per_symbol` and `caches_repaired` rebuild the
     ReadTrace of each replay: the session cache holds the reads and, when
     `caches_repaired` (a data-node session), the repaired symbols too.
-    `terms` (the matrix as replay streams it) and the totals `adds` and
-    `muls` of the stages are derived once, when the plan is built.
+    `terms` (the matrix as replay streams it), `read_at` (the reads as two
+    int32 index arrays, rows then nodes) and the totals `adds` and `muls`
+    of the stages are derived once, when the plan is built.
     """
 
     field: FieldSpec
@@ -145,12 +146,15 @@ class RepairPlan:
     rank: int = 0
     needed: int = 0
     terms: Terms | None = dc_field(init=False, repr=False)
+    read_at: tuple[np.ndarray, np.ndarray] = dc_field(init=False, repr=False)
     adds: int = dc_field(init=False)
     muls: int = dc_field(init=False)
 
     def __post_init__(self):
         terms = None if self.matrix is None else _terms(self.field, self.matrix)
         object.__setattr__(self, "terms", terms)
+        nodes, rows = np.array(self.reads, dtype=np.int32).reshape(-1, 2).T.copy()
+        object.__setattr__(self, "read_at", (rows, nodes))
         object.__setattr__(self, "adds", sum(s.adds for s in self.stages))
         object.__setattr__(self, "muls", sum(s.muls for s in self.stages))
 
@@ -162,27 +166,25 @@ def positions(n: int, k: int) -> tuple[tuple[NodePos, ...], ...]:
     return tuple(tuple((node, row) for row in range(k)) for node in range(n))
 
 
-def replay(plan: RepairPlan, stored) -> np.ndarray:
-    """The plan's (S, L) outputs over `stored`, streamed through its terms.
+def replay(plan: RepairPlan, stored: np.ndarray) -> np.ndarray:
+    """The plan's outputs over `stored`, streamed through its terms.
 
-    `stored` holds the stored symbols: a list of k rows of n values (one
-    lane, L = 1), or a (k, n, L) integer array, a block of L symbols per
-    (row, node) with each lane replayed independently.  Only the plan's
-    reads are touched.  Gather the reads and take their logs once; then
-    one exp lookup per term and one segment sum per output
-    (gf._add_reduce).  The outputs have the dtype of `stored` (int64 for
-    lists).  Lanes go a block at a time: besides the gathered reads and
-    the outputs, no temporary holds much more than gf.RANK_BATCH_ENTRIES
-    entries per digit of an element, whatever L is.
+    `stored` is a (k, n) integer array of stored symbols, giving (S,) int64
+    outputs, or a (k, n, L) one, L symbols per (row, node) with each lane
+    replayed independently, giving (S, L) outputs of its dtype.  Only the
+    plan's reads are gathered, by (row, node), so an array wider than the
+    plan's code will do.  Their logs are taken once; then one exp lookup
+    per term and one segment sum per output (gf._add_reduce).  Lanes go a
+    block at a time: besides the gathered reads and the outputs, no
+    temporary holds much more than gf.RANK_BATCH_ENTRIES entries per
+    digit of an element, whatever L is.
     """
     if plan.matrix is None:
         raise UnrecoverableErasureError(plan.error, rank=plan.rank, needed=plan.needed)
     f, terms = plan.field, plan.terms
-    if not isinstance(stored, np.ndarray):
-        values = np.array([stored[r][c] for c, r in plan.reads], dtype=np.int64)
-        return _lanes(f, terms, values)[:, None]
-    nodes, rows = np.array(plan.reads, dtype=np.intp).reshape(-1, 2).T
-    values = stored[rows, nodes]
+    values = stored[plan.read_at]
+    if values.ndim == 1:
+        return _lanes(f, terms, values)
     out = np.empty((len(terms.starts), values.shape[1]), dtype=values.dtype)
     step = rank_batch_len(len(terms.logs), f.m if f.p > 2 else 1)
     for lo in range(0, values.shape[1], step):
@@ -199,7 +201,7 @@ def _lanes(field: FieldSpec, terms: Terms, values: np.ndarray) -> np.ndarray:
     return _add_reduce(field, exp[log[values][terms.reads] + logs], 0, terms.starts)
 
 
-def execute(plan: RepairPlan, stored, counter=None) -> tuple[np.ndarray, ReadTrace]:
+def execute(plan: RepairPlan, stored: np.ndarray, counter=None) -> tuple[np.ndarray, ReadTrace]:
     """Replay a repair session: its outputs and its read trace, rebuilt
     from the plan; the counts of its stages are added to `counter`."""
     out = replay(plan, stored)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .class_a import ClassASpec, _compact, _decode_erased, _interned, decode_plan
 from .class_b import ClassBSpec, construct1_parities, construct2_parities
-from .gf import FieldSpec
+from .gf import FieldSpec, cached_field
 from .layout import CodeArray, DataArray, q_set
 from .plan import NodePos, ReadTrace, RepairPlan, Stage, execute, positions, replay
 
@@ -116,7 +116,7 @@ class CodeSpec:
         fd = d["field"]
         if fd["m"] > 1 or "reduction" in fd:
             _check_json(fd, {"reduction": [int]}, "field")
-        field = FieldSpec(fd["p"], fd["m"], tuple(fd["reduction"]) if "reduction" in fd else None)
+        field = cached_field(fd["p"], fd["m"], tuple(fd["reduction"]) if "reduction" in fd else None)
         k = d["k"]
         spec_a = ClassASpec.from_json_dict(d["classA"], field, k)
         spec_b = ClassBSpec.from_json_dict(d["classB"], k, spec_a.tau, spec_a.n_a)
@@ -172,13 +172,13 @@ def encode(spec: CodeSpec, data: DataArray, counter=None) -> CodeArray:
         raise ValueError("data array dimension does not match spec")
     k, n = spec.k, spec.n
     plan = repair_plan(_interned(spec), None, ())
-    parities = replay(plan, data.rows)
+    parities = replay(plan, data.symbols)
     if counter is not None:
         counter.adds += plan.adds
         counter.muls += plan.muls
-    columns = parities.reshape(n - k, k).T.tolist()
-    rows = [data.rows[i] + columns[i] for i in range(k)]
-    return CodeArray(spec.field, k, n, rows, [[False] * n for _ in range(k)])
+    symbols = np.concatenate([data.symbols, parities.reshape(n - k, k).T.astype(np.uint16)], axis=1)
+    symbols.flags.writeable = False
+    return CodeArray._wrap(spec.field, symbols)
 
 
 def puncture(spec: CodeSpec, count: int) -> CodeSpec:
@@ -209,7 +209,7 @@ class _Session:
     def __init__(self, spec: CodeSpec, erased, independent: bool):
         self.spec, self.f = spec, spec.field
         self.at = positions(spec.n, spec.k)
-        self.erased = erased
+        self.lost = erased
         self.independent = independent
         self.trace = ReadTrace()
         self.stages: list[Stage] = []
@@ -221,7 +221,7 @@ class _Session:
         for pos in sources:
             if pos in trace.cache:
                 continue
-            if pos[0] in self.erased:
+            if pos[0] in self.lost:
                 raise _ReadsErased
             trace.reads.append(pos)
             trace.cache.add(pos)
@@ -384,10 +384,9 @@ def repair_plan(code: CodeSpec, node: int | None, erased: tuple[int, ...]) -> Re
 
 
 def _repair(array: CodeArray, node: int, spec: CodeSpec, counter):
-    erased = array.erased_nodes()
-    erased.discard(node)
-    values, trace = execute(repair_plan(_interned(spec), node, tuple(sorted(erased))), array.rows, counter)
-    return values[:, 0].tolist(), trace
+    erased = tuple(x for x in array.erased_nodes if x != node and x < spec.n)  # a wider array may be masked past n
+    values, trace = execute(repair_plan(_interned(spec), node, erased), array.symbols, counter)
+    return values.tolist(), trace
 
 
 def repair_data_node(array: CodeArray, j: int, spec: CodeSpec, counter=None):
@@ -431,7 +430,7 @@ def repair_multi(array: CodeArray, failed, spec: CodeSpec):
     parity column.
     """
     failed = sorted(set(failed))
-    if any(not 0 <= x < spec.n for x in failed):
+    if failed and (failed[0] < 0 or failed[-1] >= spec.n):
         raise ValueError("failed node index out of range")
     columns = _decode_erased(array, spec, failed)
     return {node: columns[node] for node in failed}

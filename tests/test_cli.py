@@ -432,6 +432,19 @@ def test_bad_data_document_exits_2(tmp_path, capsys, doc):
     assert "data JSON must be an object whose 'symbols' is a list of integer rows" in err
 
 
+@pytest.mark.parametrize("bad", [70000, 8, -1])
+def test_out_of_range_data_exits_2(tmp_path, capsys, bad):
+    """A symbol outside GF(8) (70000 would not even fit the u16 array) exits
+    2 and writes no array."""
+    spec_path, _ = _spec_and_array(tmp_path, capsys)
+    data_path, out = tmp_path / "data.json", tmp_path / "x.bin"
+    data_path.write_text(json.dumps({"symbols": [[bad] + [0] * 4] + [[0] * 5] * 4}))
+    code, _, err = run(capsys, "encode", "--spec", str(spec_path), "--data", str(data_path), "--out", str(out))
+    assert code == 2
+    assert "symbol values must be integers in [0, 8)" in err
+    assert not out.exists()
+
+
 # A small valid spec for the fuzz test below: (7,4) over GF(7).
 _FUZZ_SPEC = CodeSpec.build(4, 6, 5, 1).to_json()
 _MUTATIONS = ("drop", "str", "float", "negative", "bool", "truncate", "directory")

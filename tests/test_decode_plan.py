@@ -228,10 +228,10 @@ def test_masked_node_outside_failed_is_not_read(spec_10_5):
     data = DataArray.random(spec_10_5.field, 5, random.Random(4))
     stored = encode(spec_10_5, data)
     for masked, failed in ((1, 0), (5, 0), (6, 2), (8, 3), (2, 7)):
-        array = stored.copy()
+        array = stored.copy()  # over a writable copy of the symbols
         array.erase_nodes([masked])
-        for i in range(5):
-            array.rows[i][masked] = (array.rows[i][masked] + 1) % spec_10_5.field.q
+        array.symbols[:, masked] = (array.symbols[:, masked] + 1) % spec_10_5.field.q
+        assert (array.symbols[:, masked] != stored.symbols[:, masked]).all()
         pattern = [x for x in (masked, failed) if x < spec_10_5.n_a]
         if ml_decodable(spec_10_5.class_a, pattern):
             assert repair_multi(array, [failed], spec_10_5) == {failed: [r[failed] for r in stored.rows]}
