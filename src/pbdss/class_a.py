@@ -26,7 +26,7 @@ from .gf import (
     rank_batch_len,
     smallest_field_of_order_at_least,
 )
-from .layout import CodeArray, DataArray, mod_k
+from .layout import CodeArray, DataArray
 from .plan import RepairPlan, positions, replay
 from .plan import UnrecoverableErasureError  # raised by replay; callers import it from here
 
@@ -62,11 +62,12 @@ def fault_tolerance(n_a: int, k: int, tau: int) -> FaultToleranceReport:
     (k, n_a, tau) = (5, 9, 2), (5, 9, 3) and (7, 11, 2).
 
     Caveat where xi is an integer, e.g. (k, n_a, tau) = (6, 9, 2),
-    (6, 10, 3) and (8, 12, 2): the rotation schedule alone fails on f
+    (6, 10, 3) and (8, 12, 2): the rotation schedule cannot order f
     alternating data failures ((0, 2, 4) at k = 6), which the decoder's
-    elimination fallback recovers for the RS defaults.  For arbitrary MDS
-    coefficients f is not a guarantee there: at (6, 9, 2) an MDS block over
-    GF(11) tolerates only 2 failures (tests/test_oracle.py pins it).  The paper's abstract does
+    elimination over every surviving parity recovers for the RS defaults.
+    For arbitrary MDS coefficients f is not a guarantee there: at
+    (6, 9, 2) an MDS block over GF(11) tolerates only 2 failures
+    (tests/test_oracle.py pins it).  The paper's abstract does
     not settle whether its bound needs psi(tau') < 0 or psi(tau') <= 0.
     """
     _check_params(n_a, k, tau)
@@ -192,7 +193,7 @@ class ClassASpec:
 
     def piggyback_source(self, i: int, u: int) -> tuple[int, int]:
         """Data position added into parity (i, u) for u in the piggybacked range."""
-        return (mod_k(i + u - self.n_a + self.tau + 1, self.k), i)
+        return ((i + u - self.n_a + self.tau + 1) % self.k, i)
 
     def fault_tolerance(self) -> FaultToleranceReport:
         return fault_tolerance(self.n_a, self.k, self.tau)
@@ -219,26 +220,16 @@ def _verified_mds(alpha: tuple[tuple[int, ...], ...], n_a: int, k: int, field: F
 def encode_class_a(data: DataArray, spec: ClassASpec) -> list[list[int]]:
     """k x (n_a - k) parity block: plain MDS columns then piggybacked ones.
 
-    The class-A rows of the generator, applied to the data in one product.
+    The decode plan of the pattern that erases every parity node, whose
+    matrix holds the class-A rows of the generator, replayed over the data.
     """
     if data.field != spec.field:
         raise ValueError("data array and spec use different fields")
     if data.k != spec.k:
         raise ValueError("data array dimension does not match spec")
     k = spec.k
-    forms = _generator(_interned(spec))[k:].reshape(-1, k * k)
-    parities = matmul(spec.field, forms, data.symbols.T.reshape(-1, 1))
+    parities = replay(decode_plan(_interned(spec), tuple(range(k, spec.n_a))), data.symbols)
     return parities.reshape(spec.n_a - k, k).T.tolist()
-
-
-def _available_run_start(k: int, alive_data: set[int], length: int) -> int | None:
-    """First start of `length` consecutive available data nodes, scanning all rotations."""
-    if length == 0:
-        return 0
-    for start in range(k):
-        if all(mod_k(start + off, k) in alive_data for off in range(length)):
-            return start
-    return None
 
 
 # Plans are cached by value.  The bound holds every pattern of up to three
@@ -317,82 +308,29 @@ def _over(forms: np.ndarray, nodes: list[int]) -> np.ndarray:
     return forms[:, nodes].reshape(len(forms), len(nodes) * forms.shape[2]).astype(np.int64)
 
 
-def _schedule_plan(spec: ClassASpec, gen: np.ndarray, failed: list[int], alive: list[int], erased: set[int]):
-    """The rotation schedule, run once on linear forms.
+def _rotation_parities(spec: ClassASpec, failed: list[int], alive: list[int], erased: set[int]):
+    """The parity nodes the paper's rotation schedule reads, or None.
 
-    Find a run of tau' consecutive available data nodes, then walk rows
-    backwards from its end: each row's lost symbols come from phi parities
-    once their piggybacks are cleaned with already-known data.  The phi x
-    phi system is the same on every row, so it is inverted once.  Returns
-    (read nodes, forms of the lost data symbols over the reads), or None
-    where the schedule cannot order the pattern.
+    One node per failed data node: theta = min(phi, surviving plain MDS
+    nodes) plain MDS nodes, then the first zeta = phi - theta surviving
+    piggybacked nodes by shift.  The schedule walks rows backwards from
+    the end of a run of tau' intact data nodes, tau' the largest shift
+    used, so that every piggyback is cleaned with data already known.
+    None when fewer than zeta piggybacked nodes survive or no such run
+    exists.
     """
-    f = spec.field
     k, n_a, tau = spec.k, spec.n_a, spec.tau
-    phi = len(failed)
-    nonmod_alive = [c for c in range(k, n_a - tau) if c not in erased]
-    piggy_alive_t = [t for t in range(1, tau + 1) if (n_a - tau - 1 + t) not in erased]
-    theta = min(phi, len(nonmod_alive))
-    zeta = phi - theta
-    if zeta > len(piggy_alive_t):
+    plain = [c for c in range(k, n_a - tau) if c not in erased]
+    piggy = [c for c in spec.piggybacked_columns if c not in erased]
+    theta = min(len(failed), len(plain))
+    zeta = len(failed) - theta
+    used = piggy[:zeta]
+    if len(used) < zeta:
         return None
-    used_t = piggy_alive_t[:zeta]
-    tau_prime = used_t[-1] if used_t else 0
-    start = _available_run_start(k, set(alive), tau_prime)
-    if start is None:
+    tau_prime = used[-1] - (n_a - tau - 1) if used else 0
+    if not any(all((start + off) % k in alive for off in range(tau_prime)) for start in range(k)):
         return None
-    parity_cols = nonmod_alive[:theta] + [n_a - tau - 1 + t for t in used_t]
-    # [parity, data node]: the MDS coefficients, read off symbol 0 of each
-    # parity, whose piggyback is a data symbol of another row
-    alpha = gen[parity_cols, 0, :, 0]
-    # one elimination gives A^-1 and A^-1 B, for A and B the parity
-    # coefficients of the failed and of the alive data nodes
-    eye = np.eye(phi, dtype=np.int64)
-    rank, solved = eliminate(f, alpha[:, failed], np.concatenate([eye, alpha[:, alive]], axis=1))
-    if rank < phi:
-        return None
-    inv = solved[:, :phi]
-
-    # lost[r, s, v, i]: coefficient in d[r][failed[s]] of symbol i of node
-    # slots[v]; row r reads only row r, until piggybacks are cleaned
-    slots = alive + parity_cols
-    coeffs = np.concatenate([array_sub(f, 0, solved[:, phi:]), inv], axis=1)
-    lost = np.eye(k, dtype=np.int64)[:, None, None, :] * coeffs[None, :, :, None]
-    # piggyback sources d[(r + t) % k][r] sit in column r: read when it is
-    # alive, else recovered from rows r+1..r+tau' before row r
-    if used_t:
-        cols = np.array(alive)[:, None]
-        lost[cols, :, np.arange(len(alive))[:, None], (cols + used_t) % k] = array_sub(f, 0, inv[:, theta:]).T
-    lost = lost.reshape(k, phi, -1)
-    index = {j: s for s, j in enumerate(failed)}
-    done = set()
-    for step in range(k):
-        r = mod_k(start + tau_prime - 1 - step, k)
-        if r in index and used_t:
-            srcs = [mod_k(r + t, k) for t in used_t]
-            if any(src not in done for src in srcs):
-                return None
-            lost[r] = array_sub(f, lost[r], matmul(f, inv[:, theta:], lost[srcs, index[r]]))
-        done.add(r)
-    return slots, lost.transpose(1, 0, 2).reshape(phi * k, -1)
-
-
-def _rank_plan(spec: ClassASpec, gen: np.ndarray, failed: list[int], alive: list[int], erased: set[int]):
-    """One elimination over every surviving class-A parity symbol.
-
-    Returns (read nodes, forms of the lost data symbols over the reads),
-    or the rank of the surviving symbols when they do not determine the
-    data.
-    """
-    f, k = spec.field, spec.k
-    parities = [c for c in range(k, spec.n_a) if c not in erased]
-    forms = gen[parities].reshape(-1, k, k)
-    rank, left = eliminate(f, _over(forms, failed), np.eye(len(forms), dtype=np.int64))
-    if rank < k * len(failed):
-        return k * len(alive) + rank
-    left = left[:rank]
-    known = array_sub(f, 0, matmul(f, left, _over(forms, alive)))
-    return alive + parities, np.concatenate([known, left], axis=1)
+    return plain[:theta] + used
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -401,10 +339,14 @@ def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
 
     `code` is a ClassASpec, or a CodeSpec whose erased sum-parity nodes
     are then re-encoded too; `erased` lists the erased nodes in
-    increasing order.  The lost data symbols come from the rotation
-    schedule, or from one elimination where the schedule cannot order
-    the pattern; each erased parity symbol is its generator form over
-    the data, with every lost data symbol replaced by its own form.
+    increasing order.  The lost data symbols come from one elimination
+    over the class-A parity nodes that the rotation schedule reads
+    (_rotation_parities), or over every surviving class-A parity where
+    the schedule cannot order the pattern.  Where it can, its phi nodes
+    give k^2 reads for the k^2 data symbols, so the decode matrix is the
+    one solution of a square system.  Each erased parity symbol is its
+    generator form over the data, with every lost data symbol replaced by
+    its own form.
     """
     spec, n = _split(code)
     f, k = spec.field, spec.k
@@ -431,12 +373,20 @@ def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
     matrix = _over(forms, alive)
     slots = alive
     if failed:
-        found = _schedule_plan(spec, gen, failed, alive, lost_nodes) or _rank_plan(
-            spec, gen, failed, alive, lost_nodes
-        )
-        if isinstance(found, int):
-            return plan(alive, None, found)
-        slots, lost = found
+        parities = _rotation_parities(spec, failed, alive, lost_nodes) or [
+            c for c in range(k, spec.n_a) if c not in lost_nodes
+        ]
+        read_forms = gen[parities].reshape(-1, k, k)
+        # the row operations L that solve the read parities for the lost
+        # data turn [-A | I], A their forms over the alive data, into the
+        # decode matrix [-L A | L]
+        eye = np.eye(len(read_forms), dtype=np.int64)
+        rhs = np.concatenate([array_sub(f, 0, _over(read_forms, alive)), eye], axis=1)
+        rank, lost = eliminate(f, _over(read_forms, failed), rhs)
+        if rank < k * len(failed):
+            return plan(alive, None, k * len(alive) + rank)
+        lost = lost[:rank]
+        slots = alive + parities
         if len(forms):
             direct = np.zeros((len(forms), lost.shape[1]), dtype=np.int64)
             direct[:, : matrix.shape[1]] = matrix

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from math import inf
 
-from .layout import Position, in_q_set, mod_k, q_set, x_set
+from .layout import Position, in_q_set, q_set, x_set
 
 logger = logging.getLogger(__name__)
 
@@ -114,10 +114,10 @@ def construct1_node(k: int, n_a: int, tau: int, l: int, *, remark1: bool = False
     """Parities of node l per the sequential closed form."""
     node = []
     for t in range(k):
-        terms: list[Position] = [(mod_k(tau + 1 - n_a + l + t, k), t)]
+        terms: list[Position] = [((tau + 1 - n_a + l + t) % k, t)]
         if not remark1:
             for j in range(k - tau - 2 + n_a - l):
-                terms.append((t, mod_k(1 + j + t, k)))
+                terms.append((t, (1 + j + t) % k))
         node.append(tuple(terms))
     return tuple(node)
 
@@ -249,7 +249,7 @@ class _NodeBuilder:
                 continue
             candidates = self._free_q(j)
             if not candidates:
-                j = mod_k(j + 1, self.k)
+                j = (j + 1) % self.k
                 stalls += 1
                 continue
             stalls = 0
@@ -273,7 +273,7 @@ class _NodeBuilder:
                 partner = self._pick_x(t, jj)
                 self._add(t, partner if partner is not None else SENTINEL)
             t = (t + 1) % self.k
-            j = mod_k(j + 1, self.k)
+            j = (j + 1) % self.k
 
         while min(self.sizes) < 2:  # every column symbol already consumed
             t = self.sizes.index(min(self.sizes))

@@ -122,8 +122,8 @@ def cmd_repair_sim(args) -> int:
         array = encode(spec, DataArray.random(spec.field, spec.k, random.Random(args.seed)))
 
     if args.nodes:
-        # repair_multi treats the failed nodes as erased and checks their range
-        failed = sorted(int(x) for x in args.nodes.split(","))
+        # a set, as repair_multi takes it; repair_multi checks the range
+        failed = sorted({int(x) for x in args.nodes.split(",")})
         columns = repair_multi(array, failed, spec)
         print(f"repaired nodes {failed}")
         for node in failed:

@@ -19,8 +19,8 @@ batch_rank, the rank kernel of the MDS check, the exhaustive
 fault-tolerance search and the min-read search's gaps; pivot_step, the row
 update of eliminate and of each min-read search step; eliminate, the
 solver of the MDS generator, of the multi-node decoder and of
-oracle.ml_decode; and matmul, the products of class_a (decode-plan
-compiles and encode_class_a).  Their one subtraction, array_sub, is XOR
+oracle.ml_decode; and matmul, with which class_a.decode_plan re-encodes
+erased parities.  Their one subtraction, array_sub, is XOR
 for p = 2, a compare-and-add for odd primes and, for odd-p extension
 fields, one lookup in an O(q) Zech-logarithm table between the exp/log
 lookups.  Their one field sum, _add_reduce, serves matmul and the segment

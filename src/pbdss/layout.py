@@ -26,21 +26,16 @@ Position = tuple[int, int]
 ARRAY_MAGIC = b"PBDSS1"
 
 
-def mod_k(a: int, k: int) -> int:
-    """Mathematical mod: result in [0, k) even for negative a."""
-    return a % k
-
-
 def r_set(j: int, k: int) -> list[Position]:
-    return [(j, mod_k(j + s, k)) for s in range(1, k)]
+    return [(j, (j + s) % k) for s in range(1, k)]
 
 
 def q_set(j: int, k: int, tau: int) -> list[Position]:
-    return [(mod_k(j + s, k), j) for s in range(tau + 1, k)]
+    return [((j + s) % k, j) for s in range(tau + 1, k)]
 
 
 def x_set(j: int, k: int, tau: int) -> list[Position]:
-    return [(j, mod_k(j + s, k)) for s in range(1, k - tau)]
+    return [(j, (j + s) % k) for s in range(1, k - tau)]
 
 
 def index_sets(j: int, k: int, tau: int) -> tuple[list[Position], list[Position], list[Position]]:
@@ -54,7 +49,7 @@ def index_sets(j: int, k: int, tau: int) -> tuple[list[Position], list[Position]
 
 def in_q_set(pos: Position, k: int, tau: int) -> bool:
     i, j = pos
-    return mod_k(i - j, k) > tau
+    return (i - j) % k > tau
 
 
 def _symbols(field: FieldSpec, rows, shape: tuple[int, int], what: str) -> np.ndarray:

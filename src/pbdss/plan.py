@@ -76,9 +76,9 @@ class Stage:
     """One step of a compiled schedule: symbol = sum of coeffs[t] * sources[t].
 
     A source is a stored symbol, or the output of an earlier stage of the
-    same plan.  `reads` are the sources read for the first time here; the
-    other sources were already in the session cache.  `adds` and `muls`
-    count the field operations the schedule spends on this symbol.
+    same plan; walking the stages through a ReadTrace gives the sources
+    each one reads for the first time.  `adds` and `muls` count the field
+    operations the schedule spends on this symbol.
     """
 
     kind: str  # row-mds, piggyback, sum, fallback, mds-parity, sum-parity or decode
@@ -86,7 +86,6 @@ class Stage:
     parity: NodePos | None  # the parity symbol the stage solves through, if any
     coeffs: tuple[int, ...]
     sources: tuple[NodePos, ...]
-    reads: tuple[NodePos, ...]
     adds: int
     muls: int
 

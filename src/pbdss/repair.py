@@ -217,21 +217,15 @@ class _Session:
     def stage(self, kind: str, symbol: NodePos, parity: NodePos | None, coeffs, sources, adds: int,
               muls: int) -> None:
         trace = self.trace
-        reads = []
-        for pos in sources:
-            if pos in trace.cache:
-                continue
-            if pos[0] in self.lost:
-                raise _ReadsErased
-            trace.reads.append(pos)
-            trace.cache.add(pos)
-            reads.append(pos)
-        self.stages.append(Stage(kind, symbol, parity, tuple(coeffs), tuple(sources), tuple(reads), adds, muls))
+        if any(pos[0] in self.lost and pos not in trace.cache for pos in sources):
+            raise _ReadsErased
+        issued = sum(trace.read(*pos) for pos in sources)
+        self.stages.append(Stage(kind, symbol, parity, tuple(coeffs), tuple(sources), adds, muls))
         if self.independent:
             trace.per_symbol[symbol] = len(sources)
         else:
             trace.cache.add(symbol)
-            trace.per_symbol[symbol] = len(reads)
+            trace.per_symbol[symbol] = issued
 
     def row_mds(self, kind: str, row: int, col: int) -> None:
         """d[row][col] from its row and the first MDS parity: the k-1

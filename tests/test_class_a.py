@@ -207,7 +207,8 @@ def test_decode_three_data_nodes_8_5(gf9):
 
 def test_decode_rank_fallback_pattern():
     # Four adjacent data failures leave no run of two intact data nodes,
-    # so the rotation schedule cannot start; the rank decoder still wins.
+    # so the rotation schedule cannot order them; the elimination over every
+    # surviving parity still decodes.
     spec = ClassASpec.build(9, 5, 2)
     data = DataArray.random(spec.field, 5, random.Random(3))
     arr = encode_array(spec, data)
@@ -239,6 +240,28 @@ def test_decode_undecodable_raises():
     with pytest.raises(UnrecoverableErasureError) as exc:
         decode_multi_class_a(arr, spec, {0, 1, 2})
     assert exc.value.rank is not None and exc.value.rank < 25
+
+
+def test_one_elimination_per_decode_and_none_in_encode(monkeypatch):
+    """decode_plan solves a pattern with failed data nodes in one
+    gf.eliminate, whether the rotation schedule orders it or not, and
+    encode_class_a replays a plan with neither a solve nor a product."""
+    spec = ClassASpec.build(9, 5, 2)
+    calls = []
+    for name in ("eliminate", "matmul"):
+        def counted(*args, _name=name, _real=getattr(class_a, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(class_a, name, counted)
+    class_a.decode_plan.cache_clear()
+    # scheduled; not ordered by the schedule; scheduled with a parity re-encoded
+    for pattern in ((0, 2), (0, 1, 2, 3), (1, 6)):
+        calls.clear()
+        class_a.decode_plan(spec, pattern)
+        assert calls.count("eliminate") == 1, pattern
+    calls.clear()
+    encode_class_a(DataArray.zeros(spec.field, 5), spec)
+    assert calls == []
 
 
 def test_json_roundtrip(gf8):

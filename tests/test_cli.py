@@ -81,6 +81,10 @@ def test_multi_node_repair(tmp_path, capsys):
                        "--nodes", "0,3", "--seed", "1")
     assert code == 0
     assert "repaired nodes [0, 3]" in out
+    # a repeated node is repaired and printed once
+    code, repeated, _ = run(capsys, "repair-sim", "--spec", str(spec_path),
+                            "--nodes", "3,0,0,3", "--seed", "1")
+    assert (code, repeated) == (0, out)
 
 
 def test_punctured_sim(tmp_path, capsys):

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from pbdss.class_a import (
     PLAN_CACHE_SIZE,
+    ClassASpec,
     UnrecoverableErasureError,
+    _rotation_parities,
     decode_multi_class_a,
     decode_plan,
     fault_tolerance,
@@ -198,6 +200,78 @@ def test_cached_replay_equals_cold(case):
     assert decode_plan.cache_info().hits == 1
 
 
+def _small_patterns(code):
+    """Every pattern of up to f + 1 nodes of the whole code."""
+    f = fault_tolerance(code.n_a, code.k, code.tau).f
+    return [p for t in range(1, f + 2) for p in itertools.combinations(range(code.n), t)]
+
+
+# {symbols read: patterns} per (field, pattern size) over _small_patterns;
+# an undecodable plan lists only the intact data nodes, so fewer than k^2
+READ_COUNTS = {
+    ((2, 3), 1): {25: 10},
+    ((2, 3), 2): {25: 45},
+    ((2, 3), 3): {10: 10, 15: 20, 20: 5, 25: 85},
+    ((3, 2), 1): {25: 9},
+    ((3, 2), 2): {25: 36},
+    ((3, 2), 3): {25: 84},
+    ((3, 2), 4): {5: 5, 10: 30, 15: 30, 20: 5, 25: 56},
+    ((11, 1), 1): {25: 11},
+    ((11, 1), 2): {25: 55},
+    ((11, 1), 3): {25: 165},
+    ((11, 1), 4): {25: 330},
+    ((13, 1), 1): {49: 15},
+    ((13, 1), 2): {49: 105},
+    ((13, 1), 3): {49: 455},
+    ((13, 1), 4): {49: 1365},
+    ((2, 8), 1): {81: 14},
+    ((2, 8), 2): {81: 91},
+    ((2, 8), 3): {81: 364},
+    ((2, 8), 4): {45: 126, 54: 252, 63: 108, 72: 9, 81: 506},
+    ((2, 11), 1): {36: 11},
+    ((2, 11), 2): {36: 55},
+    ((2, 11), 3): {36: 165},
+    ((2, 11), 4): {12: 15, 18: 60, 24: 45, 30: 6, 36: 204},
+}
+
+
+@pytest.mark.parametrize("field", sorted(SHAPES), ids=lambda f: "gf%d^%d" % f)
+def test_every_decode_plan(field):
+    """Every pattern of up to f + 1 nodes, on one compile each:
+    - the matrix is None exactly where the oracle finds the class-A part
+      undecodable;
+    - the matrix times the generator forms of the reads gives the forms of
+      the lost symbols;
+    - the read counts are those of READ_COUNTS, and every pattern the rotation
+      schedule orders reads exactly k^2 symbols.  Values alone
+      (test_replay_matches_ml_decode) would not catch a decoder that read
+      every surviving parity.
+    """
+    code = _code(field)
+    nodes = [np.array(col, dtype=np.int64) for col in generator_rows(code)]
+    counts, reached, decodable_parts = {}, 0, {}
+    for pattern in _small_patterns(code):
+        plan = decode_plan(code, pattern)
+        part = tuple(x for x in pattern if x < code.n_a)  # sum parities never help decode
+        if part not in decodable_parts:
+            decodable_parts[part] = ml_decodable(code.class_a, part)
+        decodable = decodable_parts[part]
+        assert (plan.matrix is not None) == decodable, pattern
+        if decodable:
+            reads = np.array([nodes[c][i] for c, i in plan.reads]).reshape(-1, code.k**2)
+            got = matmul(code.field, plan.matrix, reads)
+            assert (got == np.concatenate([nodes[c] for c in plan.nodes])).all(), pattern
+        bucket = counts.setdefault((field, len(pattern)), {})
+        bucket[len(plan.reads)] = bucket.get(len(plan.reads), 0) + 1
+        failed = [x for x in pattern if x < code.k]
+        alive = [j for j in range(code.k) if j not in pattern]
+        if failed and _rotation_parities(code.class_a, failed, alive, set(pattern)):
+            assert plan.matrix is not None and len(plan.reads) == code.k**2, pattern
+            reached += 1
+    assert counts == {key: c for key, c in READ_COUNTS.items() if key[0] == field}
+    assert reached
+
+
 def test_cache_bound_holds_every_small_pattern_of_a_16_node_code():
     code = CodeSpec.build(10, 15, 11, 4, construction=2)
     assert code.n == 16
@@ -216,12 +290,24 @@ def test_cache_bound_holds_every_small_pattern_of_a_16_node_code():
 
 def test_decode_beyond_the_old_dense_table_cap():
     # (0, 2, 4) leaves no run of two intact data nodes at k = 6, so the
-    # schedule cannot order it and the elimination decodes, over GF(2^11)
+    # schedule cannot order it and the elimination reads every surviving
+    # parity, over GF(2^11)
     code = _code((2, 11))
     data = DataArray.random(code.field, code.k, random.Random(9))
     stored, damaged = _lost(code, data, {0, 2, 4}, random.Random(10))
     cols = repair_multi(damaged, [0, 2, 4], code)
     assert cols == {x: [row[x] for row in stored.rows] for x in (0, 2, 4)}
+
+
+def test_unordered_pattern_reads_every_surviving_parity():
+    # (0, 1, 3) at (n_a, k, tau) = (9, 5, 3) needs piggyback shifts 1 and 2
+    # but leaves no run of two intact data nodes, so the schedule cannot
+    # order it: the elimination reads all four surviving parities
+    spec = ClassASpec.build(9, 5, 3)
+    assert _rotation_parities(spec, [0, 1, 3], [2, 4], {0, 1, 3}) is None
+    plan = decode_plan(spec, (0, 1, 3))
+    assert plan.matrix is not None
+    assert sorted({node for node, _ in plan.reads}) == [2, 4, 5, 6, 7, 8]
 
 
 def test_masked_node_outside_failed_is_not_read(spec_10_5):

@@ -16,7 +16,6 @@ from pbdss.layout import (
     CodeArray,
     DataArray,
     index_sets,
-    mod_k,
     q_set,
     r_set,
     read_code_array,
@@ -51,12 +50,6 @@ def test_set_sizes_and_structure(k):
         for j in range(k):
             r, _, x = index_sets(j, k, tau)
             assert [p for p in r if p in union_q] == x
-
-
-def test_mod_k_negative():
-    assert mod_k(-1, 5) == 4
-    assert mod_k(-7, 5) == 3
-    assert mod_k(12, 5) == 2
 
 
 def test_index_sets_validation():
