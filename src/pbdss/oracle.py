@@ -10,6 +10,7 @@ sets.  None of it reuses the scheduling logic it is meant to check.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from multiprocessing import Pool
@@ -57,24 +58,27 @@ def generator_rows(code) -> list[list[np.ndarray]]:
 
 def ml_decodable(code, pattern) -> bool:
     """True when the surviving symbols determine all k^2 data symbols."""
-    nodes = generator_rows(code)
-    return _ml_decodable_rows(code, nodes, pattern)
+    return _ml_decodable_rows(code, _parity_forms(code), pattern)
 
 
-def _ml_decodable_rows(code, nodes, pattern) -> bool:
+def _ml_decodable_rows(code, forms: np.ndarray, pattern) -> bool:
     pattern = sorted(set(pattern))
-    if any(not 0 <= x < len(nodes) for x in pattern):
+    if any(not 0 <= x < code.k + len(forms) // code.k for x in pattern):
         raise ValueError("erased node index out of range")
     patterns = np.array([pattern], dtype=np.int64)
-    return bool(_decodable(code, _parity_forms(code, nodes), patterns)[0])
+    return bool(_decodable(code, forms, patterns)[0])
 
 
-def _parity_forms(code, nodes) -> np.ndarray:
+@functools.lru_cache(maxsize=16)  # a few codes per process, as for field tables
+def _parity_forms(code) -> np.ndarray:
     """The forms of the non-systematic nodes, (n - k) * k rows over the k^2
-    data symbols, with one zero column appended."""
+    data symbols, with one zero column appended; built once per code, and
+    read-only."""
     k = code.k
-    forms = np.array(nodes[k:], dtype=np.int64).reshape(-1, k * k)
-    return np.pad(forms, ((0, 0), (0, 1)))
+    forms = np.array(generator_rows(code)[k:], dtype=np.int64).reshape(-1, k * k)
+    forms = np.pad(forms, ((0, 0), (0, 1)))
+    forms.flags.writeable = False
+    return forms
 
 
 def _decodable(code, forms: np.ndarray, patterns: np.ndarray) -> np.ndarray:
@@ -119,7 +123,7 @@ def brute_force_fault_tolerance(code, processes: int = 1, max_t: int | None = No
     n = code.n_a if isinstance(code, ClassASpec) else code.n
     if n > 16:
         raise ValueError("exhaustive search capped at n <= 16")
-    forms = _parity_forms(code, generator_rows(code))
+    forms = _parity_forms(code)
     limit = max_t if max_t is not None else n
     with contextlib.ExitStack() as stack:
         pool = None  # opened for the first level with enough patterns to share

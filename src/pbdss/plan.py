@@ -6,14 +6,17 @@ symbols it reads, in read order, and one GF(q) matrix from those reads to
 the symbols it outputs.  When a plan is built, its matrix is also
 compiled into the form the executor streams (Terms): the logs of its
 nonzero coefficients, the read each one multiplies, and where each
-output's terms start.  `replay` gathers the reads from the stored values,
-takes their logs once, does one exp lookup per term and one segment sum
-per output, so its work follows the nonzero terms that the paper's repair
-complexity counts, not the size of the matrix; every plan runs through
-it.  `execute` replays a repair session: it also rebuilds the session's
-read trace from the plan and adds the field-operation counts that the
-plan's stages recorded at compile time to the caller's counter.  Nothing
-here knows the schedules that build plans.
+output's terms start.  The first replay over an array of a given width
+turns each term's read into its flat offset in that array, once.
+`replay` then takes every term's stored value in one flat gather, does
+one log lookup, one add and one exp lookup per term and one segment sum
+per output, so its work follows the nonzero terms that the paper's
+repair complexity counts, not the size of the matrix; every plan runs
+through it.  `execute` replays a repair session: it also returns a copy
+of the session's read trace, which the plan holds prebuilt, and adds the
+field-operation counts that the plan's stages recorded at compile time
+to the caller's counter.  Nothing here knows the schedules that build
+plans.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ class ReadTrace:
         self.cache.add(pos)
         return 1
 
+    def copy(self) -> "ReadTrace":
+        """An independent trace: its own read list, cache and per-symbol counts."""
+        return ReadTrace(self.reads.copy(), self.cache.copy(), self.per_symbol.copy())
+
     def to_json_dict(self) -> dict:
         return {
             "reads": [list(p) for p in self.reads],
@@ -99,7 +106,8 @@ class Terms(NamedTuple):
     `starts[s]` up to the next row's start.  A row with no nonzero entry
     keeps one zero term on read 0: its log is log 0, which sends the
     product into the zero pad of exp, so every row has a term and no
-    replay needs a mask.
+    replay needs a mask.  A replay gathers term t's value at the flat
+    offset of `reads[t]` in the stored array (see RepairPlan.offsets).
     """
 
     logs: np.ndarray  # int32
@@ -127,33 +135,35 @@ class RepairPlan:
     `matrix` is None when the plan's erasure pattern is not decodable;
     replaying it raises UnrecoverableErasureError(error, rank, needed).
     `stages` hold the schedule the matrix was composed from and its field-
-    operation counts; `per_symbol` and `caches_repaired` rebuild the
-    ReadTrace of each replay: the session cache holds the reads and, when
-    `caches_repaired` (a data-node session), the repaired symbols too.
-    `terms` (the matrix as replay streams it), `read_at` (the reads as two
-    int32 index arrays, rows then nodes) and the totals `adds` and `muls`
-    of the stages are derived once, when the plan is built.
+    operation counts.  `trace` is the read trace a repair session logged
+    while it was compiled (the session cache holds the reads and, in a
+    data-node session, the repaired symbols too); execute returns a copy
+    of it.  Only single-node repair plans carry one: encode and decode
+    plans are replayed, never executed.  `terms` (the matrix as replay
+    streams it) and the totals `adds` and `muls` of the stages are derived
+    once, when the plan is built; `offsets` maps each stored-array width
+    the plan has been replayed over to the flat intp offset of every
+    term's read, row * width + node, built on the first replay at that
+    width.
     """
 
     field: FieldSpec
     reads: tuple[NodePos, ...]
     matrix: np.ndarray | None
     stages: tuple[Stage, ...] = ()
-    per_symbol: tuple[tuple[NodePos, int], ...] = ()
-    caches_repaired: bool = False
+    trace: ReadTrace | None = dc_field(default=None, repr=False)
     error: str = ""
     rank: int = 0
     needed: int = 0
     terms: Terms | None = dc_field(init=False, repr=False)
-    read_at: tuple[np.ndarray, np.ndarray] = dc_field(init=False, repr=False)
+    offsets: dict[int, np.ndarray] = dc_field(init=False, repr=False)
     adds: int = dc_field(init=False)
     muls: int = dc_field(init=False)
 
     def __post_init__(self):
         terms = None if self.matrix is None else _terms(self.field, self.matrix)
         object.__setattr__(self, "terms", terms)
-        nodes, rows = np.array(self.reads, dtype=np.int32).reshape(-1, 2).T.copy()
-        object.__setattr__(self, "read_at", (rows, nodes))
+        object.__setattr__(self, "offsets", {})
         object.__setattr__(self, "adds", sum(s.adds for s in self.stages))
         object.__setattr__(self, "muls", sum(s.muls for s in self.stages))
 
@@ -170,45 +180,60 @@ def replay(plan: RepairPlan, stored: np.ndarray) -> np.ndarray:
 
     `stored` is a (k, n) integer array of stored symbols, giving (S,) int64
     outputs, or a (k, n, L) one, L symbols per (row, node) with each lane
-    replayed independently, giving (S, L) outputs of its dtype.  Only the
-    plan's reads are gathered, by (row, node), so an array wider than the
-    plan's code will do.  Their logs are taken once; then one exp lookup
-    per term and one segment sum per output (gf._add_reduce).  Lanes go a
-    block at a time: besides the gathered reads and the outputs, no
-    temporary holds much more than gf.RANK_BATCH_ENTRIES entries per
-    digit of an element, whatever L is.
+    replayed independently, giving (S, L) outputs of its dtype.  Any
+    memory order will do, and so will an array wider than the plan's
+    code.  Each term's value is taken in one flat gather, at its offset
+    for the array's width (_offsets); then one log lookup, one add of the
+    coefficient's log and one exp lookup per term, and one segment sum
+    per output (gf._add_reduce).  Lanes go a block at a time, gathered
+    inside the block loop: besides the outputs, no temporary holds much
+    more than gf.RANK_BATCH_ENTRIES entries per digit of an element,
+    whatever L is.
     """
     if plan.matrix is None:
         raise UnrecoverableErasureError(plan.error, rank=plan.rank, needed=plan.needed)
     f, terms = plan.field, plan.terms
-    values = stored[plan.read_at]
-    if values.ndim == 1:
-        return _lanes(f, terms, values)
-    out = np.empty((len(terms.starts), values.shape[1]), dtype=values.dtype)
+    at = _offsets(plan, stored.shape[1])
+    if stored.ndim == 2:
+        return _lanes(f, terms, stored.take(at))
+    k, n, lanes = stored.shape
+    out = np.empty((len(terms.starts), lanes), dtype=stored.dtype)
     step = rank_batch_len(len(terms.logs), f.m if f.p > 2 else 1)
-    for lo in range(0, values.shape[1], step):
-        out[:, lo : lo + step] = _lanes(f, terms, values[:, lo : lo + step])
+    for lo in range(0, lanes, step):
+        block = stored[:, :, lo : lo + step].reshape(k * n, -1)
+        out[:, lo : lo + step] = _lanes(f, terms, block.take(at, axis=0))
     return out
 
 
+def _offsets(plan: RepairPlan, width: int) -> np.ndarray:
+    """The flat offset of each term's read in a (rows, width) array,
+    row * width + node, built on the plan's first replay at that width."""
+    at = plan.offsets.get(width)
+    if at is None:
+        nodes, rows = np.array(plan.reads, dtype=np.intp).reshape(-1, 2).T
+        if len(nodes) and nodes.max() >= width:
+            raise IndexError(f"index {nodes.max()} is out of bounds for axis 1 with size {width}")
+        at = plan.offsets[width] = (rows * width + nodes)[plan.terms.reads]
+    return at
+
+
 def _lanes(field: FieldSpec, terms: Terms, values: np.ndarray) -> np.ndarray:
-    """The (S,) or (S, L) outputs over the (R,) or (R, L) values of the reads."""
+    """The (S,) or (S, L) outputs over the (T,) or (T, L) values of the terms."""
     if not len(terms.logs):  # the plan reads nothing: every output is 0
         return np.zeros((len(terms.starts), *values.shape[1:]), dtype=np.int64)
     exp, log = _rank_tables(field.p, field.m, field.reduction)
     logs = terms.logs if values.ndim == 1 else terms.logs[:, None]
-    return _add_reduce(field, exp[log[values][terms.reads] + logs], 0, terms.starts)
+    return _add_reduce(field, exp[log.take(values) + logs], 0, terms.starts)
 
 
 def execute(plan: RepairPlan, stored: np.ndarray, counter=None) -> tuple[np.ndarray, ReadTrace]:
-    """Replay a repair session: its outputs and its read trace, rebuilt
-    from the plan; the counts of its stages are added to `counter`."""
+    """Replay a single-node repair session: its outputs and a copy of the
+    read trace the plan holds; the counts of its stages are added to
+    `counter`."""
     out = replay(plan, stored)
+    if plan.trace is None:
+        raise ValueError("only a single-node repair plan carries a read trace")
     if counter is not None:
         counter.adds += plan.adds
         counter.muls += plan.muls
-    per_symbol = dict(plan.per_symbol)
-    cache = set(plan.reads)
-    if plan.caches_repaired:
-        cache.update(per_symbol)
-    return out, ReadTrace(list(plan.reads), cache, per_symbol)
+    return out, plan.trace.copy()

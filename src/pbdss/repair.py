@@ -172,11 +172,12 @@ def encode(spec: CodeSpec, data: DataArray, counter=None) -> CodeArray:
         raise ValueError("data array dimension does not match spec")
     k, n = spec.k, spec.n
     plan = repair_plan(_interned(spec), None, ())
-    parities = replay(plan, data.symbols)
+    symbols = np.empty((k, n), dtype=np.uint16)
+    symbols[:, :k] = data.symbols
+    symbols[:, k:] = replay(plan, data.symbols).reshape(n - k, k).T
     if counter is not None:
         counter.adds += plan.adds
         counter.muls += plan.muls
-    symbols = np.concatenate([data.symbols, parities.reshape(n - k, k).T.astype(np.uint16)], axis=1)
     symbols.flags.writeable = False
     return CodeArray._wrap(spec.field, symbols)
 
@@ -299,13 +300,14 @@ class _Session:
                 sources.append(at[c][r])
             self.stage("mds-parity", at[node][i], None, coeffs, sources, len(sources) - 1, k)
 
-    def plan(self) -> RepairPlan:
+    def plan(self, traced: bool = True) -> RepairPlan:
         """Compose the stages into one matrix from the reads to the outputs.
 
         Each output is a sparse form over the reads: a stored source
         contributes its read, a source that an earlier stage recovered
         contributes that stage's form.  Matrix rows follow the (node, row)
-        order of the outputs.
+        order of the outputs.  When `traced` (a single-node repair), the
+        plan keeps the session's read trace for execute to copy.
         """
         f, trace = self.f, self.trace
         reads = tuple(trace.reads)
@@ -326,14 +328,7 @@ class _Session:
             values += forms[symbol].values()
         matrix = np.zeros((len(forms), len(reads)), dtype=_compact(f))
         matrix[rows, cols] = values
-        return RepairPlan(
-            f,
-            reads,
-            matrix,
-            tuple(self.stages),
-            tuple(trace.per_symbol.items()),
-            caches_repaired=not self.independent,
-        )
+        return RepairPlan(f, reads, matrix, tuple(self.stages), trace if traced else None)
 
 
 def _escalate(spec: CodeSpec, node: int, erased: tuple[int, ...]) -> RepairPlan:
@@ -374,7 +369,7 @@ def repair_plan(code: CodeSpec, node: int | None, erased: tuple[int, ...]) -> Re
             session.parity_node(node)
     except _ReadsErased:
         return _escalate(code, node, erased)
-    return session.plan()
+    return session.plan(traced=node is not None)
 
 
 def _repair(array: CodeArray, node: int, spec: CodeSpec, counter):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from pbdss import repair
+from pbdss import oracle, repair
 from pbdss.class_a import ClassASpec, UnrecoverableErasureError, fault_tolerance, verify_mds
 from pbdss.gf import FieldSpec, batch_rank, matrix_rank
 from pbdss.layout import DataArray
@@ -46,6 +46,23 @@ def test_ml_decodable_superset_monotone(gf8):
     for extra in range(7):
         if extra not in failing:
             assert not ml_decodable(spec, set(failing) | {extra})
+
+
+def test_parity_forms_built_once_per_code(monkeypatch, spec_10_5):
+    """ml_decodable and the exhaustive search share one read-only copy of
+    each code's parity forms, built by generator_rows on first use."""
+    built = []
+    rows = oracle.generator_rows
+    monkeypatch.setattr(oracle, "generator_rows", lambda code: built.append(code) or rows(code))
+    oracle._parity_forms.cache_clear()
+    patterns = list(itertools.combinations(range(spec_10_5.n), 3))
+    want = [_decodable_by_reference(spec_10_5, p) for p in patterns]
+    assert [ml_decodable(spec_10_5, p) for p in patterns] == want
+    assert brute_force_fault_tolerance(spec_10_5) == 2
+    assert built == [spec_10_5]
+    forms = oracle._parity_forms(spec_10_5)
+    with pytest.raises(ValueError):
+        forms[0, 0] = 1
 
 
 @pytest.mark.parametrize(

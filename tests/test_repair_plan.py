@@ -5,8 +5,9 @@ masks (oracle.ml_decodable decides which patterns must raise), stage by
 stage against scalar FieldSpec arithmetic, at L = 4096 and L = 65,536
 lanes against L = 1, against the generator, and through its bounded
 cache.  Its compiled terms must rebuild its matrix, replay must handle
-hand-built edge plans, and the read trace rebuilt on each replay must
-equal the one the session logged while it was compiled.
+hand-built edge plans and any array layout, and the read trace each
+execute returns must be an independent copy of the one the session
+logged while it was compiled.
 """
 
 import dataclasses
@@ -38,6 +39,7 @@ from pbdss.repair import (
     REPAIR_PLAN_CACHE_SIZE,
     CodeSpec,
     encode,
+    puncture,
     repair_data_node,
     repair_parity_node,
     repair_plan,
@@ -352,7 +354,7 @@ def _session_walk(plan, data_node: bool) -> ReadTrace:
 def test_rebuilt_traces_equal_the_session_logs(spec_10_5, spec_9_5):
     """Every node of the six stripe shapes, unmasked and with its next node
     masked (most data nodes then escalate to a decode), plus the masked and
-    escalated cases above: the trace rebuilt from the plan (reads, cache and
+    escalated cases above: the trace execute returns (reads, cache and
     per-symbol counts) equals the session's log."""
     codes = [_stripe_code(shape) for shape in STRIPE_SHAPES]
     cases = [(code, node, lost) for code in codes for node in range(code.n) for lost in ((), ((node + 1) % code.n,))]
@@ -374,6 +376,68 @@ def test_rebuilt_traces_equal_the_session_logs(spec_10_5, spec_9_5):
             walk.reads, walk.cache, list(walk.per_symbol.items())), (code.n, code.k, node, lost)
         assert execute(plan, stored.symbols)[1] == trace
     assert {"decode", "row-mds", "sum", "mds-parity", "sum-parity"} <= kinds
+
+
+def test_execute_returns_independent_traces(spec_10_5):
+    """Each execute copies the plan's prebuilt trace: mutating one result
+    leaves the next and the plan unchanged.  Encode and decode plans are
+    never executed and carry no trace."""
+    code = _interned(spec_10_5)
+    stored = encode(code, DataArray.random(code.field, code.k, random.Random(12))).symbols
+    for node, erased in ((0, ()), (code.k, ()), (code.n - 1, ()), (0, (1,))):
+        plan = repair_plan(code, node, erased)
+        pristine = ReadTrace(list(plan.trace.reads), set(plan.trace.cache), dict(plan.trace.per_symbol))
+        first, second = execute(plan, stored)[1], execute(plan, stored)[1]
+        first.reads.append((node, 0))
+        first.cache.add((node, 0))
+        first.per_symbol[node, 0] = 99
+        assert second == pristine and plan.trace == pristine, (node, erased)
+    assert repair_plan(code, None, ()).trace is None
+    for erased in ((0,), (0, 1), (5, 7), (0, 1, 2)):  # (0, 1, 2) is undecodable
+        assert decode_plan(code, erased).trace is None
+        assert decode_plan(code.class_a, tuple(x for x in erased if x < code.n_a)).trace is None
+    with pytest.raises(ValueError, match="read trace"):
+        execute(decode_plan(code, (0,)), stored)
+
+
+def test_replay_over_any_layout(spec_10_5):
+    """Replay reads the same symbols from a C- or Fortran-ordered (k, n)
+    array, a strided lane view, the (k, k) data (encode) and, under a
+    punctured spec, the full-width array; each plan keeps one offset array
+    per width it has been replayed over."""
+    code = _interned(spec_10_5)
+    k, n, lanes = code.k, code.n, 6
+    repair_plan.cache_clear()  # fresh plans: no widths seen by other tests
+    rng = np.random.default_rng(13)
+    data = rng.integers(0, code.field.q, size=(k, k, lanes), dtype=np.uint16)
+    encode_plan = repair_plan(code, None, ())
+    parities = replay(encode_plan, data)
+    stored = np.concatenate([data, parities.reshape(n - k, k, lanes).transpose(1, 0, 2)], axis=1)
+    wide = np.zeros((k, n, 2 * lanes), dtype=np.uint16)
+    wide[..., ::2] = stored
+    strided = wide[..., ::2]
+    assert not strided.flags.c_contiguous
+    assert (replay(encode_plan, np.asfortranarray(data[:, :, 0])) == parities[:, 0]).all()
+    assert (replay(encode_plan, strided[:, :k]) == parities).all()
+    for node in range(n):
+        plan = repair_plan(code, node, ())
+        assert (replay(plan, strided) == stored[:, node]).all()
+        for lane in (0, lanes - 1):
+            single = np.asfortranarray(stored[:, :, lane])
+            assert single.flags.f_contiguous and not single.flags.c_contiguous
+            assert (replay(plan, single) == stored[:, node, lane]).all()
+    punctured = _interned(puncture(code, 2))
+    for node in range(punctured.n):
+        plan = repair_plan(punctured, node, ())
+        for _ in range(3):
+            full = replay(plan, stored[:, :, 1])
+            assert (full == replay(plan, stored[:, : punctured.n, 1])).all()
+            assert (full == stored[:, node, 1]).all()
+        assert sorted(plan.offsets) == [punctured.n, n]
+    assert sorted(encode_plan.offsets) == [k]
+    assert all(sorted(repair_plan(code, node, ()).offsets) == [n] for node in range(n))
+    with pytest.raises(IndexError):  # node 0's plan reads the parity node k
+        replay(repair_plan(code, 0, ()), stored[:, :k, 0])
 
 
 def test_encode_plan_is_the_generator(spec_10_5, spec_7_4_h):
