@@ -2,9 +2,18 @@
 
 Every stored symbol is a linear form in the k^2 data symbols; stacking
 the forms of the surviving nodes gives a matrix whose rank decides
-decodability outright.  Fault tolerance is then exhaustive search over
-erasure patterns, and minimal-read repair is branch-and-bound over read
-sets.  None of it reuses the scheduling logic it is meant to check.
+decodability outright.  Surviving data nodes hold their symbols in
+the clear, so only the surviving parity forms, restricted to the erased
+data nodes' symbols, need a rank: one exact-size matrix per pattern.
+
+Fault tolerance is exhaustive search over erasure patterns, bounded by
+two exact facts.  Counting: t erasures leave (n - t) * k symbols, fewer
+than the k^2 unknowns once t > n - k.  Monotonicity: a pattern that
+decodes still decodes with fewer erasures.  So the search starts at
+t = n - k and walks down to the first level whose patterns all decode.
+Minimal-read repair is branch-and-bound over read sets.  None of it
+reuses the scheduling logic it is meant to check, nor the closed-form
+fault tolerance.
 """
 
 from __future__ import annotations
@@ -62,81 +71,111 @@ def ml_decodable(code, pattern) -> bool:
 
 
 def _ml_decodable_rows(code, forms: np.ndarray, pattern) -> bool:
+    k = code.k
     pattern = sorted(set(pattern))
-    if any(not 0 <= x < code.k + len(forms) // code.k for x in pattern):
+    if any(not 0 <= x < k + len(forms) // k for x in pattern):
         raise ValueError("erased node index out of range")
-    patterns = np.array([pattern], dtype=np.int64)
-    return bool(_decodable(code, forms, patterns)[0])
+    d = sum(x < k for x in pattern)
+    return bool(_decodable(code, forms, np.array([pattern], dtype=np.int64), d)[0])
 
 
 @functools.lru_cache(maxsize=16)  # a few codes per process, as for field tables
 def _parity_forms(code) -> np.ndarray:
     """The forms of the non-systematic nodes, (n - k) * k rows over the k^2
-    data symbols, with one zero column appended; built once per code, and
-    read-only."""
+    data symbols; built once per code, and read-only."""
     k = code.k
     forms = np.array(generator_rows(code)[k:], dtype=np.int64).reshape(-1, k * k)
-    forms = np.pad(forms, ((0, 0), (0, 1)))
     forms.flags.writeable = False
     return forms
 
 
-def _decodable(code, forms: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    """Decodability of a (B, t) stack of sorted erasure patterns.
+def _decodable(code, forms: np.ndarray, patterns: np.ndarray, d: int) -> np.ndarray:
+    """Decodability of a (B, t) stack of sorted erasure patterns, each of
+    which erases d data nodes (so they lead it) and t - d parity nodes.
 
     Surviving data nodes give their symbols outright, so a pattern is
-    decodable iff the surviving parity forms, restricted to the erased
-    data nodes' symbols, have full column rank.
+    decodable iff the forms of its surviving parity nodes, restricted to
+    the d * k symbols of its erased data nodes, have full column rank.
+    Symbol (i, j) is variable i * k + j.  With no erased data node there
+    is nothing to solve for; with fewer surviving parity nodes than erased
+    data nodes there are fewer rows than unknowns.  Neither needs a rank.
     """
     k = code.k
-    n = k + len(forms) // k
+    m = len(forms) // k  # parity nodes
     b, t = patterns.shape
-    head = patterns[:, : min(t, k)]  # erased data nodes lead a sorted pattern
-    is_data = head < k
-    # symbol (i, j) is variable i*k + j; pad with the zero column k*k
-    cols = np.where(is_data[:, :, None], np.arange(k) * k + head[:, :, None], k * k)
-    mats = forms[:, cols.reshape(b, -1)].transpose(1, 0, 2)
-    erased = np.zeros((b, n), dtype=bool)
-    erased[np.arange(b)[:, None], patterns] = True
-    mats[np.repeat(erased[:, k:], k, axis=1)] = 0  # lost parity forms
-    return batch_rank(code.field, mats) == k * is_data.sum(axis=1)
+    live = m - (t - d)
+    if d == 0:
+        return np.ones(b, dtype=bool)
+    if live < d:
+        return np.zeros(b, dtype=bool)
+    alive = np.ones((b, m), dtype=bool)
+    alive[np.arange(b)[:, None], patterns[:, d:] - k] = False
+    parities = np.nonzero(alive)[1].reshape(b, live)
+    rows = (parities[:, :, None] * k + np.arange(k)).reshape(b, live * k)
+    cols = (patterns[:, :d, None] + np.arange(k) * k).reshape(b, d * k)
+    return batch_rank(code.field, forms[rows[:, :, None], cols[:, None, :]]) == d * k
 
 
 def _level_decodable(code, forms: np.ndarray, t: int, share: int = 0, shares: int = 1) -> bool:
     """Whether every t-node erasure pattern is decodable.
 
-    Patterns are checked in chunks of one batch_rank step; a worker of a
-    pool of `shares` takes every shares-th chunk from number `share`.
+    The patterns are grouped by d, the number of erased data nodes, most
+    first (on the sweep shapes that order meets an undecodable pattern
+    soonest), and each group is checked in chunks of one batch_rank step.
+    The chunks are numbered across the groups; a worker of a pool of
+    `shares` takes every shares-th chunk from number `share`.
     """
     k = code.k
-    patterns = itertools.combinations(range(k + len(forms) // k), t)
-    size = rank_batch_len(len(forms), min(t, k) * k)
-    chunks = iter(lambda: list(itertools.islice(patterns, size)), [])
-    for chunk in itertools.islice(chunks, share, None, shares):
-        if not _decodable(code, forms, np.array(chunk, dtype=np.int64)).all():
-            return False
+    m = len(forms) // k
+    number = 0
+    for d in range(min(t, k), max(t - m, 1) - 1, -1):  # d = 0 leaves nothing to solve for
+        patterns = _group(k, m, d, t - d)
+        size = rank_batch_len((m - t + d) * k, d * k)
+        for lo in range(0, len(patterns), size):
+            if number % shares == share and not _decodable(code, forms, patterns[lo : lo + size], d).all():
+                return False
+            number += 1
     return True
 
 
+def _group(k: int, m: int, d: int, e: int) -> np.ndarray:
+    """Every sorted pattern of d of the k data nodes and e of the m parity
+    nodes, one row each, in lexicographic order."""
+    data = np.array(list(itertools.combinations(range(k), d)), dtype=np.int64)
+    parity = np.array(list(itertools.combinations(range(k, k + m), e)), dtype=np.int64)
+    data, parity = data.reshape(math.comb(k, d), d), parity.reshape(math.comb(m, e), e)  # e = 0: one empty row
+    return np.concatenate([np.repeat(data, len(parity), axis=0), np.tile(parity, (len(data), 1))], axis=1)
+
+
 def brute_force_fault_tolerance(code, processes: int = 1, max_t: int | None = None) -> int:
-    """Largest t such that every t-node erasure pattern is decodable."""
+    """Largest t <= max_t such that every t-node erasure pattern is decodable.
+
+    Two exact facts bound the search.  Counting: t erasures leave
+    (n - t) * k symbols, fewer than the k^2 unknowns once t > n - k, so
+    no t above n - k can qualify.  Monotonicity: a pattern that decodes
+    still decodes with fewer erasures, so if every t-node pattern
+    decodes, so does every smaller one.  The search therefore starts at
+    t = min(max_t, n - k), walks down, and returns the first level whose
+    patterns all decode; levels below the answer are never ranked.  A
+    level that fails stops at its first undecodable chunk.
+    """
     n = code.n_a if isinstance(code, ClassASpec) else code.n
     if n > 16:
         raise ValueError("exhaustive search capped at n <= 16")
     forms = _parity_forms(code)
-    limit = max_t if max_t is not None else n
+    top = n - code.k if max_t is None else min(max_t, n - code.k)
     with contextlib.ExitStack() as stack:
         pool = None  # opened for the first level with enough patterns to share
-        for t in range(1, limit + 1):
+        for t in range(top, 0, -1):
             if processes > 1 and math.comb(n, t) >= 64:
                 pool = pool or stack.enter_context(Pool(processes))
                 shares = [(code, forms, t, i, processes) for i in range(processes)]
                 ok = all(pool.starmap(_level_decodable, shares))
             else:
                 ok = _level_decodable(code, forms, t)
-            if not ok:
-                return t - 1
-    return limit
+            if ok:
+                return t
+    return 0
 
 
 def ml_decode(code, array, pattern) -> dict[int, list[int]]:

@@ -1,10 +1,12 @@
+import functools
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from pbdss import oracle, repair
+from pbdss import class_a, metrics, oracle, plan, repair
 from pbdss.class_a import ClassASpec, UnrecoverableErasureError, fault_tolerance, verify_mds
 from pbdss.gf import FieldSpec, batch_rank, matrix_rank
 from pbdss.layout import DataArray
@@ -114,9 +116,139 @@ def test_ml_tolerance_depends_on_mds_coefficients(gf11):
 
 def _decodable_by_reference(code, pattern):
     """Rank of every surviving linear form, by the pure-Python elimination."""
-    nodes = generator_rows(code)
-    alive = [[int(x) for x in v] for c, col in enumerate(nodes) if c not in pattern for v in col]
+    nodes = _reference_rows(code)
+    alive = [v for c, col in enumerate(nodes) if c not in pattern for v in col]
     return bool(alive) and matrix_rank(code.field, alive) == code.k**2
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_rows(code):
+    return [[[int(x) for x in v] for v in col] for col in generator_rows(code)]
+
+
+def _tolerance_by_reference(code):
+    """Fault tolerance the plain way: levels 1, 2, ... in turn, every
+    pattern of each ranked alone by the pure-Python reference, up to the
+    first level with an undecodable pattern."""
+    n = len(generator_rows(code))
+    for t in range(1, n + 1):
+        if not all(_decodable_by_reference(code, p) for p in itertools.combinations(range(n), t)):
+            return t - 1
+    return n
+
+
+def _decodable_by_full_rank(code, t):
+    """Decodability of every t-node pattern, in order, by one batched rank
+    of all k^2 columns of every surviving form, data nodes included."""
+    k = code.k
+    nodes = np.array(generator_rows(code), dtype=np.int64)
+    n = len(nodes)
+    alive = np.array([[c for c in range(n) if c not in p] for p in itertools.combinations(range(n), t)],
+                     dtype=np.intp).reshape(math.comb(n, t), n - t)
+    mats = nodes[alive].reshape(len(alive), (n - t) * k, k * k)
+    return (batch_rank(code.field, mats) == k * k).tolist()
+
+
+SEARCH_CODES = {
+    "10-5": dict(k=5, n_a=7, n_b=8, tau=1),
+    "9-5": dict(k=5, n_a=8, n_b=6, tau=1),
+    "7-4-c2": dict(k=4, n_a=6, n_b=5, tau=1, construction=2),
+    "11-7": dict(k=7, n_a=10, n_b=8, tau=2),
+    "8-4-gf2^11": dict(k=4, n_a=6, n_b=6, tau=1, field=FieldSpec(2, 11)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _search_code(name):
+    full, _, block = name.partition("/")
+    code = CodeSpec.build(**SEARCH_CODES[full])
+    return code.class_a if block else code
+
+
+@pytest.mark.parametrize("name", [f"{c}{block}" for c in SEARCH_CODES for block in ("", "/class-a")])
+def test_search_matches_ascending_reference(name):
+    """The descending search over exact-size stacks finds the fault
+    tolerance the ascending pattern-by-pattern reference finds, under every
+    cap, and ml_decodable agrees with a full-rank check on every pattern."""
+    code = _search_code(name)
+    n = len(generator_rows(code))
+    f = _tolerance_by_reference(code)
+    for max_t in (0, 1, f, f + 1, n):
+        assert brute_force_fault_tolerance(code, max_t=max_t) == min(f, max_t), max_t
+    assert brute_force_fault_tolerance(code) == f
+    for t in range(n + 1):
+        got = [ml_decodable(code, p) for p in itertools.combinations(range(n), t)]
+        assert got == _decodable_by_full_rank(code, t), t
+
+
+def test_search_reaches_the_counting_bound():
+    """An MDS block (tau = 0) tolerates n - k erasures, the counting bound
+    where the search starts, and no more."""
+    spec = ClassASpec.build(6, 4, 0)
+    assert _tolerance_by_reference(spec) == brute_force_fault_tolerance(spec) == 2
+    assert brute_force_fault_tolerance(spec, max_t=6) == 2
+    assert all(ml_decodable(spec, p) for p in itertools.combinations(range(6), 2))
+    assert not any(ml_decodable(spec, p) for p in itertools.combinations(range(6), 3))
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3])
+def test_level_chunks_split_between_shares(monkeypatch, shares):
+    """The shares of a level rank disjoint chunks that together cover
+    every pattern needing a rank: each one erasing at least one data node."""
+    code = _search_code("11-7")
+    forms = oracle._parity_forms(code)
+    decodable, rank = oracle._decodable, oracle.batch_rank
+    for t in range(1, 4):  # the code's fault tolerance is 3, so no share stops early
+        seen, ranked = [], []
+
+        def record(code, forms, patterns, d):
+            seen[-1].extend(map(tuple, patterns.tolist()))
+            return decodable(code, forms, patterns, d)
+
+        monkeypatch.setattr(oracle, "_decodable", record)
+        monkeypatch.setattr(oracle, "batch_rank",
+                            lambda field, mats: ranked.append(len(mats)) or rank(field, mats))
+        for share in range(shares):
+            seen.append([])
+            assert oracle._level_decodable(code, forms, t, share, shares)
+        every = [p for part in seen for p in part]
+        assert len(every) == len(set(every)) == sum(ranked), t
+        assert set(every) == {p for p in itertools.combinations(range(code.n), t) if p[0] < code.k}, t
+    assert all(seen)  # the last level has five chunks, so every share ranks some
+
+
+@pytest.mark.parametrize("n_a,k,tau", [(7, 4, 2), (8, 5, 2)])
+def test_sharing_agrees_where_the_top_level_fails(n_a, k, tau):
+    """At these shapes the counting bound n_a - k is one above the answer.
+    Their levels are too small for the pool, so the shares of the failing
+    top level are also run one by one."""
+    spec = ClassASpec.build(n_a, k, tau)
+    forms = oracle._parity_forms(spec)
+    f = brute_force_fault_tolerance(spec)
+    assert f == n_a - k - 1 == _tolerance_by_reference(spec)
+    assert brute_force_fault_tolerance(spec, processes=2) == f
+    for shares in (1, 2, 3):
+        assert not all(oracle._level_decodable(spec, forms, n_a - k, s, shares) for s in range(shares))
+        assert all(oracle._level_decodable(spec, forms, f, s, shares) for s in range(shares))
+
+
+def test_search_needs_neither_the_closed_form_nor_the_schedulers(monkeypatch, spec_10_5):
+    """The exhaustive search and ml_decodable answer with the closed forms
+    and every scheduler made to raise, from forms built under the patch."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle consulted a closed form or a scheduler")
+
+    banned = [(class_a, "fault_tolerance"), (metrics, "formula_bundle"), (class_a, "decode_plan"),
+              (class_a, "decode_multi_class_a"), (repair, "repair_plan"), (repair, "repair_data_node"),
+              (repair, "repair_parity_node"), (repair, "repair_multi"), (plan, "replay"), (plan, "execute")]
+    for owner, attr in banned:
+        monkeypatch.setattr(owner, attr, refuse)
+    oracle._parity_forms.cache_clear()
+    assert brute_force_fault_tolerance(spec_10_5) == brute_force_fault_tolerance(spec_10_5.class_a) == 2
+    assert ml_decodable(spec_10_5, (0, 1)) and not ml_decodable(spec_10_5, range(6))
+    assert brute_force_fault_tolerance(spec_10_5, processes=2) == 2
+    assert not {attr for _, attr in banned} & set(vars(oracle))
 
 
 @pytest.mark.parametrize("build", [
