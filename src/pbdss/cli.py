@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run formula-vs-oracle sweeps")
     p.add_argument("--max-k", type=int, default=8)
     p.add_argument("--quick", action="store_true", help="small sweep (k <= 5)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the exhaustive search, at most the usable CPUs")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
 

@@ -13,25 +13,25 @@ exhaustive checks (irreducibility, field axioms in tests) stay cheap.
 
 A field's exp/log tables are a pure function of (p, m, reduction), so they
 are built once per field and shared, read-only, by every FieldSpec of that
-field.  Every elimination in the package runs on the array kernels, which
-use only these O(q) tables and so cover every field up to q = 2**16:
-batch_rank, the rank kernel of the MDS check, the exhaustive
-fault-tolerance search and the min-read search's gaps; pivot_step, the row
-update of eliminate and of each min-read search step; eliminate, the
-solver of the MDS generator, of the multi-node decoder and of
-oracle.ml_decode; and matmul, with which class_a.decode_plan re-encodes
-erased parities.  Their one subtraction, array_sub, is XOR
-for p = 2, a compare-and-add for odd primes and, for odd-p extension
-fields, one lookup in an O(q) Zech-logarithm table between the exp/log
-lookups.  Their one field sum, _add_reduce, serves matmul and the segment
-sums with which plan.replay streams a plan's nonzero terms: XOR for
-p = 2, an integer sum and one % p for odd primes and, for odd-p extension
-fields, a sum over an O(q * m) table of every element's digits, one % p
-and one dot with the powers of p.  So no kernel loops over digits.  The
-scalar solvers (row_reduce, solve_values, gaussian_solve, matrix_rank)
-stay public as the reference the tests check the kernels against.  No
-module uses the q**2 dense tables any more; they stay only for the
-benchmark, which still builds them.
+field.  Every elimination runs on one kernel on these O(q) tables, so on
+every field up to q = 2**16: _gauss_jordan, lockstep Gauss-Jordan on a
+(B, R, C) stack with an optional right-hand side.  batch_rank is it with
+none (the MDS check, the fault-tolerance search, the min-read search's
+gaps), eliminate it on one matrix with one (the MDS generator, the
+multi-node decoder, oracle.ml_decode); pivot_step, a min-read search
+step, makes its row update.  The one subtraction of these kernels and of
+matmul (with which class_a.decode_plan re-encodes erased parities),
+array_sub, is XOR for p = 2, a compare-and-add for odd primes and, for
+odd-p extension fields, one lookup in an O(q) Zech-logarithm table
+between the exp/log lookups.  Their one field sum, _add_reduce, serves
+matmul and the segment sums with which plan.replay streams a plan's
+nonzero terms: XOR for p = 2, an integer sum and one % p for odd primes
+and, for odd-p extension fields, a sum over an O(q * m) table of every
+element's digits, one % p and one dot with the powers of p.  So no
+kernel loops over digits.  The scalar solvers (row_reduce, solve_values,
+gaussian_solve, matrix_rank) stay public as the reference the tests
+check the kernels against.  No module uses the q**2 dense tables any
+more; they stay only for the benchmark, which still builds them.
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ class FieldSpec:
         """(add, sub, mul, inv) numpy tables, each with q**2 entries.
 
         No module of the package uses them: every elimination runs on the
-        O(q) tables of batch_rank.  They stay while the benchmark harness
+        O(q) tables of _rank_tables.  They stay while the benchmark harness
         builds them in its set-up.  Built on first use and shared,
         read-only, by every FieldSpec of the field; capped at q <= 1024.
         """
@@ -547,14 +547,11 @@ def rank_batch_len(rows: int, cols: int) -> int:
 @functools.lru_cache(maxsize=16)
 def _rank_tables(p: int, m: int, reduction: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """exp, periodic over 3(q - 1) and then zero-padded, and log with
-    log 0 = 3(q - 1) pointing into the pad.
-
-    batch_rank indexes exp with sums of two logs of entries (each at most
-    q - 2 when nonzero) and one log of a pivot's inverse (at most q - 1).
-    With every term nonzero the sum stays in the periodic part; with any
-    log 0 in it the sum lands in the pad.  So exp[sum] is the product,
-    zero or not, with no mask.
-    """
+    log 0 = 3(q - 1) pointing into the pad.  Elimination indexes exp with
+    sums of two logs of entries (each at most q - 2 when nonzero) and one
+    of a pivot's inverse: with every term nonzero the sum stays in the
+    periodic part, with any log 0 in it in the pad, so exp[sum] is the
+    product, zero or not, with no mask."""
     q = p**m
     tables = _field_tables(p, m, reduction)
     zero_log = 3 * (q - 1)
@@ -565,6 +562,18 @@ def _rank_tables(p: int, m: int, reduction: tuple[int, ...]) -> tuple[np.ndarray
     for t in (exp, log):
         t.flags.writeable = False
     return exp, log
+
+
+@functools.lru_cache(maxsize=16)
+def _pivot_logs(p: int, m: int, reduction: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 / x), 0 at x = 0, and log(x - 1) for every element x: at a
+    pivot x of _gauss_jordan, its inverse and the factor that clears a kept
+    pivot row down to itself / x."""
+    n, log = p**m - 1, _rank_tables(p, m, reduction)[1]  # log 0 = 3n, a multiple of n
+    tables = (n - log) % n, log[array_sub(cached_field(p, m, reduction), np.arange(n + 1), 1)]
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 @functools.lru_cache(maxsize=16)
@@ -606,22 +615,28 @@ def _zech_table(p: int, m: int, reduction: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def array_sub(field: FieldSpec, a, b) -> np.ndarray:
-    """a - b elementwise over the field, for broadcastable integer arrays.
+def array_sub(field: FieldSpec, a, b, out=None) -> np.ndarray:
+    """a - b elementwise over the field, for broadcastable integer arrays,
+    into the int64 array `out` (which may be a) when given.
 
     XOR for p = 2; for odd primes the difference, plus p where it is
     negative; for odd-p extension fields one lookup in the Zech table
-    between the O(q) exp/log lookups of batch_rank.
+    between the O(q) exp/log lookups of _rank_tables.
     """
     p = field.p
     if p == 2:
-        return a ^ b
+        return np.bitwise_xor(a, b, out=out)
     if field.m == 1:
-        d = a - b
-        return d + p * (d < 0)
+        d = np.subtract(a, b, out=out)
+        d += p * (d < 0)
+        return d
     exp, log = _rank_tables(p, field.m, field.reduction)
     la = log[a]
-    return exp[la + _zech_table(p, field.m, field.reduction)[log[b] - la + 3 * (field.q - 1)]]
+    d = exp[la + _zech_table(p, field.m, field.reduction)[log[b] - la + 3 * (field.q - 1)]]
+    if out is None:
+        return d
+    out[...] = d
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -660,54 +675,69 @@ def _add_reduce(field: FieldSpec, a: np.ndarray, axis: int, starts=None) -> np.n
     return total % p if field.m == 1 else total % p @ powers
 
 
-def batch_rank(field: FieldSpec, mats) -> np.ndarray:
-    """Ranks of a (B, R, C) stack of matrices over the field.
+def _gauss_jordan(field: FieldSpec, a: np.ndarray, rhs: np.ndarray | None = None):
+    """Gauss-Jordan on a (B, R, C) stack a in lockstep, pivots in a only:
+    gf's one elimination loop.  Returns the B ranks and, for a (B, R, L)
+    stack rhs, E @ rhs, E the row operations that reduce each matrix.
 
-    All B matrices are eliminated in lockstep, one column per step: each
-    takes its first row with a nonzero entry as pivot and clears that
-    column from every row, the pivot row included, so that row drops out.
-    Products come from the field's O(q) exp/log tables; the stack is taken
-    RANK_BATCH_ENTRIES entries at a time, so memory stays flat for any B
-    and any q <= 2**16.
-    """
+    Step c takes each matrix's pivot row by flat row index (one argmax, one
+    gather) and its inverse from _pivot_logs (1 where there is none: the
+    zero row clears nothing); every row loses its multiple of the pivot row
+    past column c, in place.  The pivot is the first nonzero row and clears
+    itself; with rhs it is row_reduce's, the first below the pivots, swapped
+    up and cleared to itself / pivot, with a zero row 0 where there is none.
+    Held as (C + L, B, rows) so that blocks are contiguous."""
+    keep = rhs is not None
+    b, rows, cols = a.shape
+    exp, log = _rank_tables(field.p, field.m, field.reduction)
+    inv, own = _pivot_logs(field.p, field.m, field.reduction)
+    both = a if rhs is None else np.concatenate([a, rhs], axis=2)
+    m = np.zeros((both.shape[2], b, rows + keep), dtype=np.int64)  # with rhs, a zero row 0 first
+    m[:, :, keep:] = both.transpose(2, 0, 1)
+    flat = m.reshape(len(m), b * m.shape[2])
+    base = np.arange(0, b * m.shape[2], m.shape[2])  # flat index of each matrix's row 0
+    last = base.copy()  # with rhs, of each matrix's last pivot row: base + rank
+    pivots = np.zeros((cols, b), dtype=np.int64)  # each column's pivots, 0 where a matrix has none
+    floor = np.zeros(m.shape[1:], dtype=np.int64)  # q at each row kept as a pivot, which `>` skips
+    for c in range(cols):
+        src = (m[c] > floor).argmax(axis=1) + base
+        prow = flat[c:].take(src, axis=1)  # each pivot row from column c on
+        pivots[c] = prow[0]
+        if c + 1 == len(m):
+            break
+        lrow = log[prow[1:]] + inv[prow[0]]  # logs of each pivot row over its pivot
+        factor = log[m[c]]
+        if keep:
+            dst = np.minimum(src, last + 1)  # the pivot row's place: rank, or 0 where there is none
+            np.maximum(last, dst, out=last)
+            floor.reshape(-1)[dst] = field.q
+            if src.tolist() != dst.tolist():
+                flat[c + 1 :, src] = flat[c + 1 :].take(dst, axis=1)
+                flat[c + 1 :, dst] = prow[1:]
+                factor.reshape(-1)[src] = factor.reshape(-1)[dst]
+            factor.reshape(-1)[dst] = own[prow[0]]
+        array_sub(field, m[c + 1 :], exp[factor + lrow[:, :, None]], out=m[c + 1 :])
+    return (pivots != 0).sum(axis=0), np.ascontiguousarray(m[cols:, :, 1:].transpose(1, 2, 0)) if keep else None
+
+
+def batch_rank(field: FieldSpec, mats) -> np.ndarray:
+    """Ranks of a (B, R, C) stack over the field: _gauss_jordan with no
+    right-hand side over the shorter side, RANK_BATCH_ENTRIES entries at a
+    time, so memory stays flat for any B and any q <= 2**16."""
     mats = np.asarray(mats, dtype=np.int64)
     if mats.ndim != 3:
         raise ValueError(f"expected a (B, R, C) stack, got shape {mats.shape}")
     if mats.shape[2] > mats.shape[1]:
         mats = mats.transpose(0, 2, 1)  # rank is the same; step over the shorter side
-    b, rows, cols = mats.shape
-    ranks = np.zeros(b, dtype=np.int64)
-    if not rows or not cols:
-        return ranks
-    exp, log = _rank_tables(field.p, field.m, field.reduction)
-    step = rank_batch_len(rows, cols)
-    for lo in range(0, b, step):
-        m = mats[lo : lo + step].copy()
-        idx = np.arange(len(m))
-        rank = ranks[lo : lo + step]
-        for c in range(cols):
-            col = m[:, :, c]
-            piv = (col != 0).argmax(axis=1)
-            has = col[idx, piv] != 0
-            if not has.any():  # e.g. a zero column padding smaller matrices
-                continue
-            rank += has
-            if c + 1 == cols:
-                break
-            prow = log[m[idx, piv, c:]]  # logs of the pivot and of the rest of its row
-            inv_log = np.where(has, field.q - 1 - prow[:, 0], 0)
-            # log of (entry / pivot) for every row; where a matrix has no
-            # pivot its column c is 0, and so are the factors.  The pivot
-            # row clears itself, so no later column picks it again.
-            factor = log[col] + inv_log[:, None]
-            m[:, :, c + 1 :] = array_sub(field, m[:, :, c + 1 :], exp[factor[:, :, None] + prow[:, None, 1:]])
-    return ranks
+    step = rank_batch_len(*mats.shape[1:])
+    chunks = [mats[lo : lo + step] for lo in range(0, max(len(mats), 1), step)]  # one, if empty
+    return np.concatenate([_gauss_jordan(field, chunk)[0] for chunk in chunks])
 
 
 def matmul(field: FieldSpec, a, b) -> np.ndarray:
     """a @ b over the field, for an (R, C) and a (C, L) array of elements.
 
-    Each product is one lookup in the O(q) tables of batch_rank; a is
+    Each product is one lookup in the O(q) tables of _rank_tables; a is
     taken a block of rows at a time, RANK_BATCH_ENTRIES products per
     block, so temporaries stay small for any shape and any q <= 2**16.
     """
@@ -720,55 +750,25 @@ def matmul(field: FieldSpec, a, b) -> np.ndarray:
     return np.concatenate([_add_reduce(field, exp[block[:, :, None] + lb[None]], axis=1) for block in blocks])
 
 
-def pivot_step(field: FieldSpec, m, row) -> tuple[np.ndarray, np.ndarray]:
-    """One elimination step: clear m with `row` at its first nonzero column c.
-
-    Each row s of the (R, C) array m becomes m[s] - (m[s, c] / row[c]) * row.
-    Returns the cleared m and row / row[c].  A (B, C) stack of rows takes B
-    such steps of the same m at once, and returns a (B, R, C) stack and the
-    B normalised rows.  Each product is one lookup in the O(q) tables of
-    batch_rank.
-    """
+def pivot_step(field: FieldSpec, m, rows) -> np.ndarray:
+    """The (B, R, C) results of B min-read search steps on the (R, C) array
+    m, by the row update of _gauss_jordan: step b takes (m[s, c] / r[c]) * r
+    from each row m[s], r = rows[b] and c the first nonzero column of r."""
     exp, log = _rank_tables(field.p, field.m, field.reduction)
-    rows = np.atleast_2d(row)
     c = (rows != 0).argmax(axis=1)
-    # logs of each row divided by its pivot; a zero entry's log stays at or
-    # past log 0, so it still indexes the zero pad of exp
-    lrow = log[rows]
-    lrow += (field.q - 1 - lrow[np.arange(len(rows)), c])[:, None]
-    factor = log[m[:, c].T]
-    out = array_sub(field, m, exp[factor[:, :, None] + lrow[:, None, :]])
-    if np.ndim(row) == 1:
-        return out[0], exp[lrow[0]]
-    return out, exp[lrow]
+    lrow = log[rows] + _pivot_logs(field.p, field.m, field.reduction)[0][rows[np.arange(len(rows)), c]][:, None]
+    return array_sub(field, m, exp[log[m[:, c].T][:, :, None] + lrow[:, None, :]])
 
 
 def eliminate(field: FieldSpec, a, b) -> tuple[int, np.ndarray]:
-    """Gauss-Jordan elimination of [a | b] over the field, with pivots in a only.
-
-    Returns the rank of the (R, C) array a and E @ b for the (R, L) array
-    b, where the row operations E bring a to reduced row echelon form.
-    When a has full column rank its pivots fill rows 0..C-1 in column
-    order, so the first C rows of E @ b solve a x = b, consistent iff the
-    other rows are zero; for b the identity they are a left inverse of a.
-    Each step is one pivot_step over whole rows.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    rows, cols = a.shape
-    m = np.concatenate([a, np.asarray(b, dtype=np.int64)], axis=1)
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        nz = m[rank:, c].nonzero()[0]
-        if not nz.size:
-            continue
-        if nz[0]:
-            m[[rank, rank + nz[0]]] = m[[rank + nz[0], rank]]
-        m, pivot = pivot_step(field, m, m[rank])
-        m[rank] = pivot  # the step cleared the pivot row too; keep it normalised
-        rank += 1
-    return rank, m[:, cols:]
+    """The rank of the (R, C) array a and E @ b for the (R, L) array b: E
+    reduces a with row_reduce's pivots, which fix E where a is not square
+    (_gauss_jordan on one matrix).  When a has full column rank its pivots
+    fill rows 0..C-1 in column order, so the first C rows of E @ b solve
+    a x = b, consistent iff the other rows are zero; for b the identity
+    they are a left inverse of a."""
+    rank, reduced = _gauss_jordan(field, np.asarray(a, dtype=np.int64)[None], np.asarray(b, dtype=np.int64)[None])
+    return int(rank[0]), reduced[0]
 
 
 def smallest_field_of_order_at_least(n: int) -> FieldSpec:

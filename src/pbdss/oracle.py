@@ -22,6 +22,7 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 from multiprocessing import Pool
 
 import numpy as np
@@ -157,11 +158,15 @@ def brute_force_fault_tolerance(code, processes: int = 1, max_t: int | None = No
     decodes, so does every smaller one.  The search therefore starts at
     t = min(max_t, n - k), walks down, and returns the first level whose
     patterns all decode; levels below the answer are never ranked.  A
-    level that fails stops at its first undecodable chunk.
+    level that fails stops at its first undecodable chunk.  A level of at
+    least 64 patterns is shared among `processes` worker processes, but
+    never more than the CPUs this process may run on.
     """
     n = code.n_a if isinstance(code, ClassASpec) else code.n
     if n > 16:
         raise ValueError("exhaustive search capped at n <= 16")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    processes = min(processes, cpus)
     forms = _parity_forms(code)
     top = n - code.k if max_t is None else min(max_t, n - code.k)
     with contextlib.ExitStack() as stack:
@@ -219,11 +224,12 @@ def min_read_repair(code, j: int) -> int:
     already searched at no greater depth.  Every candidate symbol and
     target row is carried reduced against the reads so far: a symbol is
     in the span when its reduced row is zero, and the gap is the rank of
-    the reduced targets.  A read steps both with gf.pivot_step, and the
-    gaps of all children of a node are ranked in one gf.batch_rank.  The
-    first bound is the read count of the repair schedule, once one rank
-    check confirms its reads determine the column.  Exponential; capped
-    at k <= 6.
+    the reduced targets.  A read steps both with gf.pivot_step, the row
+    update of gf's one elimination kernel, and the gaps of all children of
+    a node are ranked in one gf.batch_rank, that kernel's lockstep rank of
+    a stack.  The first bound is the read count of the repair schedule,
+    once one rank check confirms its reads determine the column.
+    Exponential; capped at k <= 6.
     """
     k = code.k
     if k > 6:
@@ -255,12 +261,12 @@ def min_read_repair(code, j: int) -> int:
         seen[key] = depth
         kids = start + np.nonzero(~spanned[start:])[0]
         rows = cands[kids]
-        kid_targets, _ = pivot_step(field, target, rows)
+        kid_targets = pivot_step(field, target, rows)
         gaps = batch_rank(field, kid_targets)
         # best only falls, so a child that fails its gap check now fails it
         # when visited too, and never looks at its candidates: step only the rest
         live = np.nonzero((gaps > 0) & (depth + 1 + gaps < best))[0]
-        kid_cands = dict(zip(live.tolist(), pivot_step(field, cands, rows[live])[0])) if live.size else {}
+        kid_cands = dict(zip(live.tolist(), pivot_step(field, cands, rows[live]))) if live.size else {}
         for n, (idx, g) in enumerate(zip(kids.tolist(), gaps.tolist())):
             search(idx + 1, kid_cands.get(n), kid_targets[n], g, depth + 1)
 

@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import operator
+import os
 import random
 import struct
 import tempfile
@@ -147,6 +148,29 @@ def test_verify_quick_reports_known_exceedances(capsys):
     assert "FAIL" not in out
     assert out.count("NOTE:") == 2
     assert out.rstrip().endswith("PASS")
+
+
+def test_verify_jobs_start_at_most_the_usable_cpus(monkeypatch):
+    """--jobs 100000 reaches a level of 126 patterns at (k, n_a) = (5, 9),
+    where the search opens its pool: with at most as many workers as the
+    CPUs this process may use.  The stub pool records the count and
+    raises, so no worker starts, whatever the count."""
+    from pbdss import oracle
+
+    class Refused(Exception):
+        pass
+
+    asked = []
+
+    def pool(processes):
+        asked.append(processes)
+        raise Refused
+
+    monkeypatch.setattr(oracle, "Pool", pool)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with contextlib.suppress(Refused):
+        main(["verify", "--quick", "--jobs", "100000"])
+    assert asked == ([cpus] if cpus > 1 else [])
 
 
 def _spec_and_array(tmp_path, capsys, shape=("5", "7", "8", "1"), name="spec"):

@@ -8,6 +8,7 @@ symbols are overwritten.
 """
 
 import functools
+import hashlib
 import itertools
 import random
 
@@ -28,6 +29,7 @@ from pbdss.class_a import (
 from pbdss.gf import (
     RANK_BATCH_ENTRIES,
     FieldSpec,
+    _gauss_jordan,
     batch_rank,
     eliminate,
     matmul,
@@ -88,6 +90,48 @@ def test_eliminate_empty():
     assert rank == 0 and rhs.shape == (0, 2)
     rank, rhs = eliminate(f, np.zeros((2, 0), dtype=np.int64), np.eye(2, dtype=np.int64))
     assert rank == 0 and rhs.tolist() == [[1, 0], [0, 1]]
+
+
+# Tall systems of full column rank in which a pivot row is swapped up at
+# a column after the first.  A rule that took the first nonzero unused row
+# in the original row order would pivot on another row at some column, so
+# these pin the pivot order, and with it the left inverse, that every
+# decode plan is built from.
+PIVOT_ORDER_CASES = [
+    ((2, 3),
+     [[0, 4, 0], [0, 7, 0], [5, 6, 0], [6, 7, 6], [0, 3, 0]],
+     [[0, 1, 2, 0, 0], [0, 4, 0, 0, 0], [0, 2, 2, 3, 0], [1, 6, 0, 0, 0], [0, 7, 0, 0, 1]]),
+    ((3, 2),
+     [[0, 7, 0], [0, 5, 0], [5, 8, 0], [0, 0, 7], [0, 3, 4]],
+     [[0, 7, 4, 0, 0], [0, 4, 0, 0, 0], [0, 0, 0, 8, 0], [1, 1, 0, 0, 0], [0, 7, 0, 6, 1]]),
+    ((11, 1),
+     [[0, 0, 9], [2, 8, 0], [3, 1, 4], [0, 0, 0], [10, 0, 4]],
+     [[0, 4, 1, 0, 10], [0, 6, 8, 0, 3], [0, 1, 3, 0, 0], [0, 0, 0, 1, 0], [1, 2, 6, 0, 0]]),
+]
+
+
+@pytest.mark.parametrize("field,a,want", PIVOT_ORDER_CASES, ids=["gf%d^%d" % case[0] for case in PIVOT_ORDER_CASES])
+def test_eliminate_pins_pivot_order(field, a, want):
+    """E @ I is exactly E, rows below the rank included; its first 3 rows
+    are a left inverse of a."""
+    f = FieldSpec(*field)
+    rank, left = eliminate(f, a, np.eye(5, dtype=np.int64))
+    assert rank == 3 and left.tolist() == want
+    assert matmul(f, left[:3], a).tolist() == np.eye(3, dtype=np.int64).tolist()
+
+
+def test_lockstep_right_hand_sides_match_one_at_a_time():
+    """The kernel on a stack with right-hand sides gives each matrix what
+    eliminate gives it alone, though in one column some matrices swap or
+    find no pivot while the others do not."""
+    rng = np.random.default_rng(11)
+    for f in (FieldSpec(2, 3), FieldSpec(3, 2), FieldSpec(11)):
+        a = rng.integers(0, f.q, (40, 5, 4)) * (rng.random((40, 5, 4)) < 0.5)
+        rhs = rng.integers(0, f.q, (40, 5, 3))
+        ranks, reduced = _gauss_jordan(f, a, rhs)
+        for i in range(len(a)):
+            rank, alone = eliminate(f, a[i], rhs[i])
+            assert ranks[i] == rank and reduced[i].tolist() == alone.tolist(), (f, i)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 3), (3, 2), (11, 1), (2, 8), (2, 11), (2, 16)])
@@ -235,6 +279,26 @@ READ_COUNTS = {
 }
 
 
+# SHA-256 over every plan of _small_patterns, in order (_plan_bytes):
+# pins the reads, coefficients, dtype, rank, needed and nodes of each
+PLAN_DIGESTS = {
+    (2, 3): "6ae8ba0e4b0fd050620564669e3226106dd6fc0a6bba357aa1305b7a2070d499",
+    (3, 2): "a1f30dd47729d6c3cb77e4e58bb992d28700e57dbf00c14bd0006f3738b2cc69",
+    (11, 1): "40c490d2f04eddbc5d1c6b27025cabf59992fc2057e7587121b59a4a32568005",
+    (13, 1): "964249efe421a8f979e7b5ba9defb53439b592f6f1be67b46880cdc2b47249cf",
+    (2, 8): "9ba32dfea2fe3c39c1a3230dccc46b36649fa765873ef90e5165fe9f8f1a8d80",
+    (2, 11): "e7d421a53cd0b91fec3e37205e833c03fd32fc1d424e0253871437a50b1b2b8f",
+}
+
+
+def _plan_bytes(plan) -> bytes:
+    """Everything a decode plan is compiled to, as bytes."""
+    head = repr((plan.reads, plan.rank, plan.needed, plan.nodes))
+    if plan.matrix is None:
+        return (head + " None").encode()
+    return (head + repr((plan.matrix.dtype.str, plan.matrix.shape))).encode() + plan.matrix.tobytes()
+
+
 @pytest.mark.parametrize("field", sorted(SHAPES), ids=lambda f: "gf%d^%d" % f)
 def test_every_decode_plan(field):
     """Every pattern of up to f + 1 nodes, on one compile each:
@@ -245,13 +309,16 @@ def test_every_decode_plan(field):
     - the read counts are those of READ_COUNTS, and every pattern the rotation
       schedule orders reads exactly k^2 symbols.  Values alone
       (test_replay_matches_ml_decode) would not catch a decoder that read
-      every surviving parity.
+      every surviving parity;
+    - every plan is byte-identical to the one pinned in PLAN_DIGESTS.
     """
     code = _code(field)
     nodes = [np.array(col, dtype=np.int64) for col in generator_rows(code)]
     counts, reached, decodable_parts = {}, 0, {}
+    digest = hashlib.sha256()
     for pattern in _small_patterns(code):
         plan = decode_plan(code, pattern)
+        digest.update(_plan_bytes(plan))
         part = tuple(x for x in pattern if x < code.n_a)  # sum parities never help decode
         if part not in decodable_parts:
             decodable_parts[part] = ml_decodable(code.class_a, part)
@@ -270,6 +337,7 @@ def test_every_decode_plan(field):
             reached += 1
     assert counts == {key: c for key, c in READ_COUNTS.items() if key[0] == field}
     assert reached
+    assert digest.hexdigest() == PLAN_DIGESTS[field]
 
 
 def test_cache_bound_holds_every_small_pattern_of_a_16_node_code():
