@@ -19,11 +19,11 @@ import numpy as np
 
 from .gf import (
     FieldSpec,
+    _rank_tables,
     array_sub,
     batch_rank,
     eliminate,
     matmul,
-    rank_batch_len,
     smallest_field_of_order_at_least,
 )
 from .layout import CodeArray, DataArray
@@ -94,21 +94,42 @@ def mds_generator(
 ) -> list[list[int]]:
     """Parity coefficients alpha of a systematic (n_a, k) MDS code.
 
-    Built from a Reed-Solomon code on n_a distinct nonzero evaluation
-    points (shortening a longer RS code just drops points, so any q with
-    q >= n_a + 1 works).  Returns the k x (n_a - k) block P of [I | P],
-    checked by verify_mds.
+    The systematic Reed-Solomon code on the n_a distinct nonzero points
+    x_i = i + 1 (shortening a longer RS code just drops points, so any q
+    with q >= n_a + 1 works), in closed form: the k x (n_a - k) block P of
+    [I | P] is
+
+        P[l][j] = L_l(x_{k+j}),  L_l(z) = prod_{m < k, m != l} (z - x_m) / (x_l - x_m),
+
+    L_l the Lagrange basis on the data points, a scaled Cauchy matrix.  It
+    is V_data^-1 V_parity, V[e][i] = x_i^e: every polynomial g of degree
+    below k equals sum_l g(x_l) L_l, so g = z^e gives V_parity[e][j] =
+    sum_l V_data[e][l] P[l][j], and V_data is invertible.  The differences
+    are one array_sub, the products and quotients sums of their logs
+    (_rank_tables).  Checked by verify_mds.
     """
     if field.q < n_a + 1:
         raise ValueError(f"field order {field.q} too small for length {n_a}")
-    vand = np.array([[field.pow(x, e) for x in range(1, n_a + 1)] for e in range(k)], dtype=np.int64)
-    # P solves V_data P = V_parity, so [I | P] spans the same code as V
-    rank, solved = eliminate(field, vand[:, :k], vand[:, k:])
-    if rank < k:
-        raise ValueError("degenerate evaluation points")
-    alpha = solved.tolist()
+    exp, log = _rank_tables(field.p, field.m, field.reduction)
+    points = np.arange(1, n_a + 1)
+    # log(x_i - x_m) for every point i and data point m; the zero diagonal
+    # (i = m), which no product takes, adds 0
+    diff = log[array_sub(field, points[:, None], points[:k])]
+    diff[range(k), range(k)] = 0
+    num = diff[k:].sum(axis=1) - diff[k:].T  # log prod_{m != l} (x_{k+j} - x_m), (k, n_a - k)
+    den = diff[:k].sum(axis=1, keepdims=True)  # log prod_{m != l} (x_l - x_m)
+    alpha = exp[(num - den) % (field.q - 1)].tolist()
     verify_mds(alpha, n_a, k, field, rng=rng)
     return alpha
+
+
+@functools.lru_cache(maxsize=64)
+def _combinations(n: int, s: int) -> np.ndarray:
+    """Every s-subset of range(n), one row each, in itertools.combinations
+    order; read-only."""
+    combos = np.array(list(itertools.combinations(range(n), s)), dtype=np.int64).reshape(-1, s)
+    combos.flags.writeable = False
+    return combos
 
 
 def verify_mds(
@@ -120,40 +141,58 @@ def verify_mds(
 ) -> None:
     """Check every k x k submatrix of [I | alpha]^T is invertible.
 
-    Exhaustive up to EXHAUSTIVE_SUBMATRIX_LIMIT submatrices, randomized
-    beyond that.  Columns D + P of [I | alpha], D data and P parity, are
-    independent iff alpha's minor on the rows not in D and the columns in
-    P is nonsingular, so the subsets are checked as minors, batched by
-    size.  Failure indicates a bad reduction polynomial or a broken
+    Columns D + P of [I | alpha], D data and P parity, are independent iff
+    alpha's minor on the rows not in D and the columns in P is
+    nonsingular, so the subsets are checked as minors, one batch_rank per
+    minor size s.  Up to EXHAUSTIVE_SUBMATRIX_LIMIT subsets every minor is
+    checked, gathered through the combination tables of _combinations: s
+    ascending, then row combinations, then column combinations, each in
+    itertools.combinations order.  (A size's stack then holds under 10**6
+    entries.)  Beyond the limit, RANDOM_SUBMATRIX_TRIALS seeded draws of a
+    k-subset are checked, by minor size in the order each size is first
+    drawn, then in draw order.  The first singular minor in that order is
+    named.  Failure indicates a bad reduction polynomial or a broken
     generator, so it raises rather than returning a flag.
     """
-    parity = n_a - k
-    # (rows not in D, columns of P - k) of each minor, by the minor's size
-    if math.comb(n_a, k) <= EXHAUSTIVE_SUBMATRIX_LIMIT:
-        minors = {
-            s: itertools.product(itertools.combinations(range(k), s), itertools.combinations(range(parity), s))
-            for s in range(1, min(k, parity) + 1)
-        }
-    else:
-        rng = rng or random.Random(0)
-        minors = {}
-        for _ in range(RANDOM_SUBMATRIX_TRIALS):
-            subset = set(rng.sample(range(n_a), k))
-            rows = tuple(i for i in range(k) if i not in subset)
-            cols = tuple(c - k for c in sorted(subset) if c >= k)
-            minors.setdefault(len(rows), []).append((rows, cols))
-        minors.pop(0, None)  # [I] alone is invertible
     alpha = np.array(alpha, dtype=np.int64)
-    for s, pairs in minors.items():
-        pairs = iter(pairs)
-        while batch := list(itertools.islice(pairs, rank_batch_len(s, s))):
-            idx = np.array(batch, dtype=np.int64)
-            ranks = batch_rank(field, alpha[idx[:, 0, :, None], idx[:, 1, None, :]])
-            bad = np.nonzero(ranks != s)[0]
-            if bad.size:
-                rows, cols = idx[bad[0]].tolist()
-                subset = tuple([i for i in range(k) if i not in rows] + [c + k for c in cols])
-                raise ValueError(f"MDS check failed: columns {subset} are singular")
+    parity = n_a - k
+    if math.comb(n_a, k) <= EXHAUSTIVE_SUBMATRIX_LIMIT:
+        for s in range(1, min(k, parity) + 1):
+            rows, cols = _combinations(k, s), _combinations(parity, s)
+            # (row combination, column combination, s, s), flattened rows major
+            stack = alpha[rows].take(cols, axis=2).transpose(0, 2, 1, 3).reshape(-1, s, s)
+            t = _first_singular(field, stack)
+            if t is not None:
+                raise _singular(k, rows[t // len(cols)], cols[t % len(cols)])
+        return
+    rng = rng or random.Random(0)
+    drawn = np.zeros((RANDOM_SUBMATRIX_TRIALS, n_a), dtype=bool)
+    for i in range(RANDOM_SUBMATRIX_TRIALS):
+        drawn[i, rng.sample(range(n_a), k)] = True
+    sizes = drawn[:, k:].sum(axis=1)
+    first = np.unique(sizes, return_index=True)[1]
+    for s in sizes[np.sort(first)].tolist():
+        if s == 0:  # [I] alone is invertible
+            continue
+        picked = drawn[sizes == s]
+        rows = np.nonzero(~picked[:, :k])[1].reshape(-1, s)  # each draw's rows, ascending
+        cols = np.nonzero(picked[:, k:])[1].reshape(-1, s)
+        t = _first_singular(field, alpha[rows[:, :, None], cols[:, None, :]])
+        if t is not None:
+            raise _singular(k, rows[t], cols[t])
+
+
+def _first_singular(field: FieldSpec, stack: np.ndarray) -> int | None:
+    """Index of the first singular matrix of a (B, s, s) stack, or None."""
+    bad = np.flatnonzero(batch_rank(field, stack) != stack.shape[1])
+    return int(bad[0]) if bad.size else None
+
+
+def _singular(k: int, rows: np.ndarray, cols: np.ndarray) -> ValueError:
+    """verify_mds's error for the minor of alpha on these rows and columns."""
+    lost = set(rows.tolist())
+    subset = tuple([i for i in range(k) if i not in lost] + [c + k for c in cols.tolist()])
+    return ValueError(f"MDS check failed: columns {subset} are singular")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import sys
 from . import metrics, oracle
 from .class_a import UnrecoverableErasureError
 from .class_b import construct1_parities
-from .gf import FieldSpec
+from .gf import cached_field
 from .layout import DataArray, read_code_array, write_code_array
 from .repair import CodeSpec, encode, puncture, repair_data_node, repair_multi, repair_parity_node
 
@@ -42,7 +42,9 @@ def _write_out(text: str, path: str | None) -> None:
 def _build_spec(args) -> CodeSpec:
     field = None
     if args.field_p:
-        field = FieldSpec(args.field_p, args.field_m)
+        field = cached_field(args.field_p, args.field_m)
+    elif args.field_m != 1:
+        raise ValueError(f"--field-m {args.field_m} needs --field-p")
     return CodeSpec.build(
         args.k,
         args.n_a,
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=int, required=True, help="piggybacks per row")
         p.add_argument("--construction", type=int, choices=(1, 2), default=1)
         p.add_argument("--field-p", type=int, default=0, help="field characteristic override")
-        p.add_argument("--field-m", type=int, default=1, help="field extension degree override")
+        p.add_argument("--field-m", type=int, default=1, help="field extension degree override, with --field-p")
 
     p = sub.add_parser("construct", help="build a code spec and print its figures")
     add_shape(p)

@@ -17,8 +17,8 @@ field.  Every elimination runs on one kernel on these O(q) tables, so on
 every field up to q = 2**16: _gauss_jordan, lockstep Gauss-Jordan on a
 (B, R, C) stack with an optional right-hand side.  batch_rank is it with
 none (the MDS check, the fault-tolerance search, the min-read search's
-gaps), eliminate it on one matrix with one (the MDS generator, the
-multi-node decoder, oracle.ml_decode); pivot_step, a min-read search
+gaps), eliminate it on one matrix with one (the multi-node decoder,
+oracle.ml_decode); pivot_step, a min-read search
 step, makes its row update.  The one subtraction of these kernels and of
 matmul (with which class_a.decode_plan re-encodes erased parities),
 array_sub, is XOR for p = 2, a compare-and-add for odd primes and, for

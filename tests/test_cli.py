@@ -137,6 +137,15 @@ def test_field_override(tmp_path, capsys):
     assert "field=GF(11)" in out
 
 
+@pytest.mark.parametrize("extra", [("--field-m", "2"), ("--field-p", "0", "--field-m", "5")])
+def test_field_m_without_field_p_exits_2(capsys, extra):
+    """--field-m alone would otherwise be dropped and the default field built."""
+    code, out, err = run(capsys, "construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--field-m" in err
+
+
 def test_verify_quick_reports_known_exceedances(capsys):
     # the exhaustive oracle beats the closed-form guarantee by one on two
     # small-sweep shapes; both are checked exceedances, so verify passes
