@@ -3,6 +3,20 @@ reproduce the benchmark tables, and run verification sweeps.
 
 Exit codes: 0 success, 2 parameter validation, 3 unrecoverable erasure
 pattern, 4 verification failure.
+
+Every file output (`construct --out`, `encode --out`, `repair-sim
+--trace-out`, `tables --out`) goes through `_write_file`, which rewrites the
+path in place and then cuts a regular file to the new length, rather than
+opening it with `O_TRUNC` as `open(path, "w")` does. On ext4, closing a file
+that was truncated on open starts its writeback at once (the
+`auto_da_alloc` heuristic), which made each rewrite some 15 times slower
+than the write itself. Neither form is crash-safe without `fsync`: a crash
+can leave the old bytes, the new ones, a mix of both or an empty file, and
+the CLI never promised durability.
+
+`main` parses with the named command's own subparser; the top-level parser
+only sees an argv without a command name, and reports leftover arguments as
+`parse_args` would.
 """
 
 from __future__ import annotations
@@ -13,6 +27,7 @@ import json
 import math
 import os
 import random
+import stat
 import sys
 
 from . import metrics, oracle
@@ -31,12 +46,22 @@ EXIT_VERIFY_FAILED = 4
 CHECKED_EXCEEDANCES = {(5, 9, 2): 1, (5, 9, 3): 1, (7, 11, 2): 1}
 
 
-def _write_out(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _write_file(path: str, data: bytes) -> None:
+    """Write `data` to `path`, rewriting an existing file in place.
+
+    The inode, its other links and its mode are kept, as with
+    `open(path, "w")`; a new file gets 0o666 less the umask. Only a regular
+    file is cut to the new length, so devices and FIFOs work as before.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _build_spec(args) -> CodeSpec:
@@ -72,8 +97,7 @@ def cmd_construct(args) -> int:
     spec = _build_spec(args)
     report = metrics.formula_bundle(spec.n, spec.k, spec.n_a, spec.tau, spec.field)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(spec.to_json())
+        _write_file(args.out, spec.to_json().encode())
     print(f"({spec.n},{spec.k}) code, n_a={spec.n_a} n_b={spec.n_b} tau={spec.tau} "
           f"construction={spec.class_b.construction} field={spec.field!r}")
     print(f"fault tolerance f = {report.fault_tolerance} (xi = {report.xi:.4f})")
@@ -101,8 +125,7 @@ def cmd_encode(args) -> int:
     else:
         data = DataArray.random(spec.field, spec.k, random.Random(args.seed))
     array = encode(spec, data)
-    with open(args.out, "wb") as fh:
-        fh.write(write_code_array(array))
+    _write_file(args.out, write_code_array(array))
     print(f"encoded {spec.k}x{spec.n} array written to {args.out}")
     return 0
 
@@ -143,8 +166,7 @@ def cmd_repair_sim(args) -> int:
     print(f"average lambda = {lam:.4f}")
     if args.trace_out:
         # one compact trace per line: json.dump with an indent runs the pure-Python encoder
-        with open(args.trace_out, "w") as fh:
-            fh.write("[\n  " + ",\n  ".join(t.to_json() for t in traces) + "\n]")
+        _write_file(args.trace_out, ("[\n  " + ",\n  ".join(t.to_json() for t in traces) + "\n]").encode())
         print(f"traces written to {args.trace_out}")
     return 0
 
@@ -163,10 +185,11 @@ def cmd_parity_sim(args) -> int:
 
 def cmd_tables(args) -> int:
     rows = metrics.table2_rows(args.seed) if args.table == 2 else metrics.table3_rows(args.seed)
-    if args.format == "json":
-        _write_out(json.dumps(rows, indent=2), args.out)
+    text = json.dumps(rows, indent=2) if args.format == "json" else metrics.rows_to_csv(rows)
+    if args.out:
+        _write_file(args.out, text.encode())
     else:
-        _write_out(metrics.rows_to_csv(rows), args.out)
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
 
 
@@ -202,11 +225,11 @@ def cmd_verify(args) -> int:
                 spec = CodeSpec(spec_a.field, spec_a, construct1_parities(k, n_a, n_b, tau))
                 data = DataArray.random(spec.field, k, rng)
                 array = encode(spec, data)
+                report = metrics.formula_bundle(spec.n, k, n_a, tau, spec.field)
                 for j in range(k):
                     col, trace = repair_data_node(array, j, spec)
                     if col != data.symbols[:, j].tolist():
                         failures.append(f"repair mismatch at (n_a={n_a}, k={k}, tau={tau}) node {j}")
-                    report = metrics.formula_bundle(spec.n, k, n_a, tau, spec.field)
                     if report.lambda_bound is not None and trace.total / k > report.lambda_bound + 1e-9:
                         failures.append(
                             f"bandwidth bound violated at (n_a={n_a}, k={k}, tau={tau}) node {j}"
@@ -224,12 +247,14 @@ def cmd_verify(args) -> int:
 
 
 @functools.lru_cache(maxsize=1)  # built once per process, so no default may read the environment
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by its name."""
     parser = argparse.ArgumentParser(
         prog="pbdss",
         description="Two-class erasure codes: construction, repair simulation, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def add_shape(p):
         p.add_argument("--k", type=int, required=True, help="number of data nodes")
@@ -240,43 +265,44 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field-p", type=int, default=0, help="field characteristic override")
         p.add_argument("--field-m", type=int, default=1, help="field extension degree override, with --field-p")
 
-    p = sub.add_parser("construct", help="build a code spec and print its figures")
+    p = commands["construct"] = sub.add_parser("construct", help="build a code spec and print its figures")
     add_shape(p)
     p.add_argument("--remark1", action="store_true",
                    help="drop row sums from the sum parities (full complement only)")
     p.add_argument("--out", help="write the spec JSON here")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("encode", help="encode a data array with a spec")
+    p = commands["encode"] = sub.add_parser("encode", help="encode a data array with a spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--data", help="JSON file with {'symbols': [[...]]}")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output array (binary)")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("repair-sim", help="simulate node repairs and report reads")
+    p = commands["repair-sim"] = sub.add_parser("repair-sim", help="simulate node repairs and report reads")
     p.add_argument("--spec", required=True)
     p.add_argument("--array", help="encoded array file; otherwise random data")
     p.add_argument("--seed", type=int)
-    p.add_argument("--node", type=int, help="single data node to repair (default: all)")
-    p.add_argument("--nodes", help="comma-separated multi-node failure pattern")
+    nodes = p.add_mutually_exclusive_group()
+    nodes.add_argument("--node", type=int, help="single data node to repair (default: all)")
+    nodes.add_argument("--nodes", help="comma-separated multi-node failure pattern")
     p.add_argument("--punctured", type=int, default=0, help="drop this many trailing sum-parity nodes")
     p.add_argument("--trace-out", help="write read traces as JSON")
     p.set_defaults(func=cmd_repair_sim)
 
-    p = sub.add_parser("parity-sim", help="simulate parity node repairs")
+    p = commands["parity-sim"] = sub.add_parser("parity-sim", help="simulate parity node repairs")
     p.add_argument("--spec", required=True)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_parity_sim)
 
-    p = sub.add_parser("tables", help="emit benchmark table rows")
+    p = commands["tables"] = sub.add_parser("tables", help="emit benchmark table rows")
     p.add_argument("--table", type=int, choices=(2, 3), required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("verify", help="run formula-vs-oracle sweeps")
+    p = commands["verify"] = sub.add_parser("verify", help="run formula-vs-oracle sweeps")
     p.add_argument("--max-k", type=int, default=8)
     p.add_argument("--quick", action="store_true", help="small sweep (k <= 5)")
     p.add_argument("--jobs", type=int, default=1,
@@ -284,11 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no command named: usage, help or the invalid-choice error
+        args = parser.parse_args(argv)
+    else:
+        # what parse_args does once it reaches the command, without the top-level pass
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         if getattr(args, "seed", 0) is None:  # read per call: the parser outlives it
             args.seed = int(os.environ.get("PBDSS_SEED", "0"))

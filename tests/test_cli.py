@@ -7,6 +7,8 @@ import operator
 import os
 import random
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -418,6 +420,133 @@ def test_trace_file_holds_one_trace_per_line(tmp_path, capsys):
     assert json.loads(text) == [t.to_json_dict() for t in traces]
     assert text.splitlines() == ["["] + [f"  {t.to_json()}," for t in traces[:-1]] + [
         f"  {traces[-1].to_json()}", "]"]
+
+
+def test_node_and_nodes_are_exclusive(tmp_path, capsys):
+    """--node used to be dropped without a word when --nodes was given too."""
+    spec_path, _ = _spec_and_array(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["repair-sim", "--spec", str(spec_path), "--node", "0", "--nodes", "1,2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --nodes: not allowed with argument --node" in err
+
+
+def _outputs(tmp_path, spec_path, arr_path):
+    """Each command that writes a file, as (argv, the path it writes)."""
+    spec, arr, trace, table = (tmp_path / n for n in ("out.json", "out.bin", "trace.json", "table.csv"))
+    return [
+        (["construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1", "--out", spec], spec),
+        (["encode", "--spec", spec_path, "--seed", "3", "--out", arr], arr),
+        (["repair-sim", "--spec", spec_path, "--array", arr_path, "--trace-out", trace], trace),
+        (["tables", "--table", "3", "--out", table], table),
+    ]
+
+
+def test_outputs_rewrite_in_place(tmp_path, capsys):
+    """Rewriting a longer file leaves exactly the bytes of a fresh write, in
+    the same inode, seen through every link, with the file's mode kept."""
+    spec_path, arr_path = _spec_and_array(tmp_path, capsys)
+    for argv, path in _outputs(tmp_path, spec_path, arr_path):
+        argv = [str(a) for a in argv]
+        assert run(capsys, *argv)[0] == 0
+        fresh = path.read_bytes()
+        path.write_bytes(b"x" * (len(fresh) + 4096))
+        path.chmod(0o600)
+        link = tmp_path / (path.name + ".link")
+        os.link(path, link)
+        inode = path.stat().st_ino
+        assert run(capsys, *argv)[0] == 0
+        assert path.read_bytes() == fresh, argv
+        assert link.read_bytes() == fresh
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mode & 0o777 == 0o600
+
+
+def test_new_output_gets_default_mode(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        code, _, _ = run(capsys, "tables", "--table", "3", "--out", str(tmp_path / "t.csv"))
+        with open(tmp_path / "by_open.csv", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert (tmp_path / "t.csv").stat().st_mode & 0o777 == 0o640
+    assert (tmp_path / "by_open.csv").stat().st_mode & 0o777 == 0o640
+
+
+def test_encode_to_dev_null(tmp_path, capsys):
+    """A character device is written but not cut to length (ftruncate would fail)."""
+    spec_path, _ = _spec_and_array(tmp_path, capsys)
+    code, out, err = run(capsys, "encode", "--spec", str(spec_path), "--out", os.devnull)
+    assert (code, err) == (0, "")
+    assert out == f"encoded 5x10 array written to {os.devnull}\n"
+
+
+def test_directory_as_output_exits_2(tmp_path, capsys):
+    spec_path, arr_path = _spec_and_array(tmp_path, capsys)
+    (tmp_path / "dir").mkdir()
+    for argv, _ in _outputs(tmp_path, spec_path, arr_path):
+        code, _, err = run(capsys, *map(str, argv[:-1]), str(tmp_path / "dir"))
+        assert code == 2
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path / 'dir')!r}\n"
+
+
+_SHAPE = ["--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1"]
+
+# Help and error argvs: main must answer each exactly as a full parse_args does.
+PARSE_ARGVS = [
+    [], ["--help"], ["-h"], ["nosuch"], ["--bogus", "construct"], ["-h", "construct"], ["constr"],
+    ["construct", "--help"], ["construct", "--k", "5"], ["construct", "--k", "x", *_SHAPE[2:]],
+    ["construct", *_SHAPE, "--construction", "3"], ["construct", *_SHAPE, "--bogus"],
+    ["construct", *_SHAPE, "extra"], ["construct", "--n", "7", *_SHAPE],
+    ["construct", *_SHAPE, "--remark=1"],
+    ["encode", "--help"], ["encode", "--out", "x"], ["encode", "--spec", "s", "--out", "o", "--seed", "x"],
+    ["encode", "--spec", "s", "--out", "o", "--bogus", "1"], ["encode", "--spec", "s", "--out", "o", "extra"],
+    ["encode", "--s", "s", "--out", "o"],
+    ["repair-sim", "-h"], ["repair-sim", "--node", "1"], ["repair-sim", "--spec", "s", "--node", "x"],
+    ["repair-sim", "--spec", "s", "--bogus"], ["repair-sim", "--spec", "s", "a", "b"],
+    ["repair-sim", "--spec", "s", "--nod", "1"], ["repair-sim", "--spec", "s", "--nodes", "1", "--node", "2"],
+    ["parity-sim", "--help"], ["parity-sim"], ["parity-sim", "--spec", "s", "--seed", "1.5"],
+    ["parity-sim", "--spec", "s", "--bogus"], ["parity-sim", "--spec", "s", "x", "--zz", "--", "y"],
+    ["parity-sim", "--sp", "s", "--se", "x"],
+    ["tables", "--help"], ["tables"], ["tables", "--table", "x"], ["tables", "--table", "4"],
+    ["tables", "--table", "2", "--format", "xml"], ["tables", "--table", "2", "--bogus"],
+    ["tables", "--table", "2", "extra"], ["tables", "--tab", "4"],
+    ["verify", "--help"], ["verify", "--max-k", "x"], ["verify", "--bogus"], ["verify", "extra"],
+    ["verify", "--j", "x"], ["verify", "--quick=1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_dispatch_answers_as_parse_args(capsys, monkeypatch, argv):
+    """main parses with the command's own parser; every help text, usage
+    error and exit code must stay what the two-level parse_args gives."""
+    monkeypatch.setenv("COLUMNS", "80")
+    answers = []
+    for parse in (cli.build_parser()[0].parse_args, main):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        out = capsys.readouterr()
+        answers.append((exc.value.code, out.out, out.err))
+    assert answers[0] == answers[1]
+    assert answers[0][0] in (0, 2)
+
+
+def test_entry_point_pipeline(tmp_path):
+    """`python -m pbdss.cli` reads sys.argv, which no in-process test covers."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    spec, arr, trace = tmp_path / "spec.json", tmp_path / "arr.bin", tmp_path / "trace.json"
+    for argv in (["construct", *_SHAPE, "--out", spec],
+                 ["encode", "--spec", spec, "--seed", "3", "--out", arr],
+                 ["repair-sim", "--spec", spec, "--array", arr, "--trace-out", trace]):
+        done = subprocess.run([sys.executable, "-m", "pbdss.cli", *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+    assert "average lambda = 1.8000" in done.stdout
+    assert [t["total"] for t in json.loads(trace.read_text())] == [9] * 5
 
 
 @pytest.mark.parametrize("argv,message", [
