@@ -9,6 +9,7 @@ fault tolerance; fault_tolerance() quantifies exactly how much.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -27,7 +28,7 @@ from .gf import (
     smallest_field_of_order_at_least,
 )
 from .layout import CodeArray, DataArray
-from .plan import RepairPlan, positions, replay
+from .plan import PLAN_CACHE_SIZE, RepairPlan, positions, replay
 from .plan import UnrecoverableErasureError  # raised by replay; callers import it from here
 
 EXHAUSTIVE_SUBMATRIX_LIMIT = 10**5
@@ -271,12 +272,6 @@ def encode_class_a(data: DataArray, spec: ClassASpec) -> list[list[int]]:
     return parities.reshape(spec.n_a - k, k).T.tolist()
 
 
-# Plans are cached by value.  The bound holds every pattern of up to three
-# erased nodes of a 16-node code (16 + 120 + 560), the longest code the
-# exhaustive oracle takes.
-PLAN_CACHE_SIZE = sum(math.comb(16, t) for t in range(1, 4))
-
-
 @dataclass(frozen=True, eq=False)
 class DecodePlan(RepairPlan):
     """The decode of one erasure pattern, as a GF(q) linear map.
@@ -448,20 +443,20 @@ def decode_multi_class_a(
     masked symbol is ever read.  The pattern's DecodePlan, compiled once
     and cached, is replayed by plan.replay over the symbols it reads.
     """
-    erased = _decode_erased(array, code, erased_nodes)
-    return {**{j: array.symbols[:, j].tolist() for j in range(code.k) if j not in erased}, **erased}
-
-
-def _decode_erased(array: CodeArray, code, erased_nodes) -> dict[int, list[int]]:
-    """The columns of the erased nodes only, as decode_multi_class_a
-    recovers them (repair_multi needs no others)."""
-    spec, n = _split(code)
     erased = set(erased_nodes or ())
-    if any(not 0 <= j < n for j in erased):
+    if any(not 0 <= j < _split(code)[1] for j in erased):
         raise ValueError("erased node index outside the code")
-    erased.update(x for x in array.erased_nodes if x < n)  # nodes past the code are never read
-    plan = decode_plan(_interned(code), tuple(sorted(erased)))
-    if not plan.nodes:
-        return {}
-    values = replay(plan, array.symbols)
-    return dict(zip(plan.nodes, values.reshape(len(plan.nodes), spec.k).tolist()))
+    nodes, columns = _decode_erased(array, code, erased)
+    return {**{j: array.symbols[:, j].tolist() for j in range(code.k) if j not in nodes},
+            **dict(zip(nodes, columns))}
+
+
+def _decode_erased(array: CodeArray, code, erased: set[int]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The erased nodes, `erased` (checked to lie in the code) plus every
+    node of the code with a masked symbol, in increasing order, and their
+    columns: one decode_plan lookup and one replay."""
+    spec, n = _split(code)
+    masked = array.erased_nodes  # increasing; nodes past the code are never read
+    pattern = tuple(sorted(erased.union(masked[: bisect.bisect_left(masked, n)])))
+    values = replay(decode_plan(_interned(code), pattern), array.symbols)
+    return pattern, values.reshape(len(pattern), spec.k).tolist()

@@ -146,7 +146,9 @@ def cmd_repair_sim(args) -> int:
     if not args.array:
         array = encode(spec, DataArray.random(spec.field, spec.k, random.Random(args.seed)))
 
-    if args.nodes:
+    if args.nodes is not None:
+        if not args.nodes.strip():  # "" would otherwise fall through to every data node
+            raise ValueError("--nodes needs at least one node index")
         # a set, as repair_multi takes it; repair_multi checks the range
         failed = sorted({int(x) for x in args.nodes.split(",")})
         columns = repair_multi(array, failed, spec)

@@ -14,12 +14,14 @@ is deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 
 import numpy as np
 
 from .gf import FieldSpec, cached_field
+from .plan import PLAN_CACHE_SIZE
 
 Position = tuple[int, int]
 
@@ -108,23 +110,24 @@ class CodeArray:
         symbols = _symbols(field, rows, (k, n), "code array must be k x n")
         if len(erased) != k or any(len(r) != n for r in erased):
             raise ValueError("erasure mask must be k x n")
-        self._set(field, symbols, np.array(erased, dtype=bool).reshape(k, n))
+        self._set(field, symbols, *_masked(np.array(erased, dtype=bool).reshape(k, n)))
 
     @classmethod
-    def _wrap(cls, field: FieldSpec, symbols: np.ndarray, mask: np.ndarray | None = None) -> "CodeArray":
-        """An array over checked (k, n) uint16 symbols, not copied; no mask: none masked."""
+    def _wrap(cls, field: FieldSpec, symbols: np.ndarray, mask: np.ndarray | None = None,
+              erased_nodes: tuple[int, ...] = ()) -> "CodeArray":
+        """An array over checked (k, n) uint16 symbols, not copied, and a
+        read-only mask with its `erased_nodes`; no mask: none masked."""
+        if mask is None:
+            mask = np.zeros(symbols.shape, dtype=bool)
+            mask.flags.writeable = False
         array = cls.__new__(cls)
-        array._set(field, symbols, mask)
+        array._set(field, symbols, mask, erased_nodes)
         return array
 
-    def _set(self, field: FieldSpec, symbols: np.ndarray, mask: np.ndarray | None) -> None:
+    def _set(self, field: FieldSpec, symbols: np.ndarray, mask: np.ndarray,
+             erased_nodes: tuple[int, ...]) -> None:
         self.field, self.symbols, (self.k, self.n) = field, symbols, symbols.shape
-        if mask is None:
-            mask, self.erased_nodes = np.zeros(symbols.shape, dtype=bool), ()
-        else:
-            self.erased_nodes = tuple(itertools.compress(range(self.n), mask.any(axis=0).tolist()))
-        mask.flags.writeable = False
-        self.mask = mask
+        self.mask, self.erased_nodes = mask, erased_nodes
 
     @property
     def rows(self) -> list[list[int]]:
@@ -143,11 +146,17 @@ class CodeArray:
         """Mask every symbol of `nodes`, through a new mask."""
         mask = self.mask.copy()
         mask[:, list(nodes)] = True
-        self._set(self.field, self.symbols, mask)
+        self._set(self.field, self.symbols, *_masked(mask))
 
     def copy(self) -> "CodeArray":
         """The same array over a writable copy of the symbols; the mask is shared."""
-        return CodeArray._wrap(self.field, self.symbols.copy(), self.mask)
+        return CodeArray._wrap(self.field, self.symbols.copy(), self.mask, self.erased_nodes)
+
+
+def _masked(mask: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """`mask`, made read-only, and every node with a masked symbol, in increasing order."""
+    mask.flags.writeable = False
+    return mask, tuple(itertools.compress(range(mask.shape[1]), mask.any(axis=0).tolist()))
 
 
 def write_code_array(array: CodeArray) -> bytes:
@@ -172,7 +181,13 @@ def _need(blob: bytes, off: int, size: int, part: str) -> None:
 
 
 def read_code_array(blob: bytes) -> CodeArray:
-    """The array a PBDSS1 blob holds; its symbols are a view of the blob."""
+    """The array a PBDSS1 blob holds; its symbols are a view of the blob.
+
+    The mask and its `erased_nodes` come from _unpacked_mask, which caches
+    them per (k, n, mask bytes): arrays read with the same erasure pattern
+    share one read-only mask.  `erase_nodes` gives an array a new mask, so
+    no array's change reaches another's.
+    """
     blob = bytes(blob)  # a view of a mutable buffer would change with it
     if blob[:6] != ARRAY_MAGIC:
         raise ValueError("bad magic: not a PBDSS1 array")
@@ -196,6 +211,21 @@ def read_code_array(blob: bytes) -> CodeArray:
             f"PBDSS1 array has {len(blob) - off - mask_len} trailing bytes after the erasure mask "
             f"(bytes {off + mask_len}..{len(blob)})"
         )
-    bits = np.frombuffer(blob, dtype=np.uint8, count=mask_len, offset=off)
-    mask = np.unpackbits(bits, count=k * n, bitorder="little").view(bool).reshape(k, n)
-    return CodeArray._wrap(field, symbols, mask)
+    return CodeArray._wrap(field, symbols, *_unpacked_mask(k, n, blob[off:]))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _unpacked_mask(k: int, n: int, bits: bytes) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The read-only (k, n) mask that PBDSS1 mask bytes `bits` hold, and its
+    erased nodes; cached, one mask per cached decode plan.
+
+    In a degraded store every stripe carries the same few patterns.  The
+    key holds its own bytes, so no caller's buffer can change an entry.
+    An entry holds the k n mask bytes, the k n / 8 key bytes, up to n node
+    indices at 8 bytes each (36 past node 256) and about 0.5 KiB of object
+    headers, so the cache holds at most PLAN_CACHE_SIZE such entries of the
+    largest arrays read.  Full of (11, 31) masks, the largest shape the
+    repair plans are sized for, it measured 0.76 MiB.
+    """
+    mask = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=k * n, bitorder="little")
+    return _masked(mask.view(bool).reshape(k, n))

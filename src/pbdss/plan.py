@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -31,6 +32,12 @@ import numpy as np
 from .gf import FieldSpec, _add_reduce, _rank_tables, rank_batch_len
 
 NodePos = tuple[int, int]  # (node, row)
+
+# Decode plans are cached by value, one per erasure pattern (and the
+# PBDSS1 reader's unpacked masks with them).  The bound holds every
+# pattern of up to three erased nodes of a 16-node code (16 + 120 + 560),
+# the longest code the exhaustive oracle takes.
+PLAN_CACHE_SIZE = sum(math.comb(16, t) for t in range(1, 4))
 
 
 class UnrecoverableErasureError(ValueError):

@@ -43,31 +43,15 @@ class CodeSpec:
             raise ValueError("class A spec uses a different field")
         if (a.k, a.tau, a.n_a) != (b.k, b.tau, b.n_a):
             raise ValueError("class A and class B shapes disagree")
-        # every plan lookup hashes the spec: hash it once, outside the fields
-        object.__setattr__(self, "_hash", hash((self.field, a, b)))
+        # every plan lookup hashes the spec, and every repair reads its
+        # shape: set both once, outside the fields (so eq, repr and the
+        # JSON see only the three parts)
+        for name, value in (("_hash", hash((self.field, a, b))), ("k", a.k), ("tau", a.tau),
+                            ("n_a", a.n_a), ("n_b", b.n_b), ("n", a.n_a + b.n_b - a.k)):
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def k(self) -> int:
-        return self.class_a.k
-
-    @property
-    def tau(self) -> int:
-        return self.class_a.tau
-
-    @property
-    def n_a(self) -> int:
-        return self.class_a.n_a
-
-    @property
-    def n_b(self) -> int:
-        return self.class_b.n_b
-
-    @property
-    def n(self) -> int:
-        return self.n_a + self.n_b - self.k
 
     @property
     def rate(self) -> float:
@@ -411,15 +395,19 @@ def repair_parity_node(array: CodeArray, node: int, spec: CodeSpec, counter=None
 
 
 def repair_multi(array: CodeArray, failed, spec: CodeSpec):
-    """Repair any mix of failed nodes; returns the columns of `failed`.
+    """Repair any mix of failed nodes; returns the columns of `failed`, in
+    increasing node order.
 
     Every node with a masked symbol counts as erased too, so no masked
-    symbol is read.  Sum-parity nodes never participate in correction:
-    the multi-node decoder recovers the data and re-encodes every erased
-    parity column.
+    symbol is read, but only `failed` is returned.  Sum-parity nodes never
+    participate in correction: the multi-node decoder recovers the data
+    and re-encodes every erased parity column.  The pattern's decode plan
+    is compiled once and cached (class_a.decode_plan), as is a read
+    array's mask (layout.read_code_array), so a repeated pattern costs one
+    lookup and one replay.
     """
-    failed = sorted(set(failed))
-    if failed and (failed[0] < 0 or failed[-1] >= spec.n):
+    failed = set(failed)
+    if failed and (min(failed) < 0 or max(failed) >= spec.n):
         raise ValueError("failed node index out of range")
-    columns = _decode_erased(array, spec, failed)
-    return {node: columns[node] for node in failed}
+    nodes, columns = _decode_erased(array, spec, failed)
+    return {node: column for node, column in zip(nodes, columns) if node in failed}

@@ -90,6 +90,17 @@ def test_multi_node_repair(tmp_path, capsys):
     assert (code, repeated) == (0, out)
 
 
+@pytest.mark.parametrize("nodes", ["--nodes=", "--nodes= ", "--nodes=\t"])
+@pytest.mark.parametrize("array", [False, True])
+def test_empty_nodes_pattern_exits_2(tmp_path, capsys, nodes, array):
+    """An empty --nodes used to fall through to the repair of every data
+    node, print five "(ok)" lines and exit 0."""
+    spec_path, arr_path = _spec_and_array(tmp_path, capsys)
+    code, out, err = run(capsys, "repair-sim", "--spec", str(spec_path), nodes,
+                         *(["--array", str(arr_path)] if array else []))
+    assert (code, out, err) == (2, "", "error: --nodes needs at least one node index\n")
+
+
 def test_punctured_sim(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     run(capsys, "construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1",

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pbdss.class_a import UnrecoverableErasureError
+from pbdss.class_a import PLAN_CACHE_SIZE, UnrecoverableErasureError
 from pbdss.gf import FieldSpec
 from pbdss.layout import (
     CodeArray,
+    _unpacked_mask,
     DataArray,
     index_sets,
     q_set,
@@ -282,6 +283,60 @@ def test_array_paths_equal_the_list_paths(case):
         elif got[0] != "unrecoverable":
             assert got[0] == [row[node] for row in stored]
             assert not {pos[0] for pos in json.loads(got[1])["reads"]} & {node, *lost}
+
+
+@st.composite
+def _masks(draw):
+    """A k x n mask, k, n <= 12: none masked, all masked or random bits
+    (partial columns), and random values in the unused bits of its last
+    byte."""
+    k, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["none", "all", "random"]))
+    bits = [draw(st.booleans()) if kind == "random" else kind == "all" for _ in range(k * n)]
+    return k, n, [bits[i * n : (i + 1) * n] for i in range(k)], draw(st.integers(0, 255))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_masks())
+def test_read_masks_are_cached_per_pattern(case):
+    """Arrays read with one erasure pattern share one read-only mask, equal
+    to a fresh unpack of the mask bytes, and no array's change reaches
+    another array or the cache."""
+    k, n, erased, pad = case
+    f = FieldSpec(11)
+    blob = bytearray(_seed_layout(f, k, n, [[c % 11 for c in range(n)]] * k, erased))
+    if k * n % 8:  # set bits past the mask: the reader ignores them
+        blob[-1] |= pad & (0xFF << k * n % 8) & 0xFF
+    want = (erased, tuple(j for j in range(n) if any(row[j] for row in erased)))
+    raw = bytes(blob)
+    first = read_code_array(blob)
+    blob[:] = bytes(len(blob))  # the cache key is the reader's own copy
+    again = read_code_array(raw)
+    for arr in (first, again):
+        assert (arr.mask.tolist(), arr.erased_nodes) == want
+        assert arr.mask.shape == (k, n) and not arr.mask.flags.writeable
+    assert again.mask is first.mask
+    if n:
+        first.erase_nodes([n - 1])  # a new mask for `first` alone
+        back = read_code_array(raw)
+        assert (again.mask.tolist(), again.erased_nodes) == (back.mask.tolist(), back.erased_nodes) == want
+    info = _unpacked_mask.cache_info()
+    assert info.maxsize == PLAN_CACHE_SIZE and info.currsize <= info.maxsize
+    _unpacked_mask.cache_clear()
+    fresh = read_code_array(raw)
+    assert (fresh.mask.tolist(), fresh.erased_nodes) == want and fresh.mask is not again.mask
+
+
+def test_mask_cache_is_bounded():
+    """More distinct patterns than the cache holds: the cache stays full
+    at its bound, and every read is still right."""
+    f = FieldSpec(11)
+    for i in range(PLAN_CACHE_SIZE + 10):
+        erased = [[bool(i >> (r * 12 + c) & 1) for c in range(12)] for r in range(2)]
+        arr = read_code_array(_seed_layout(f, 2, 12, [[0] * 12] * 2, erased))
+        assert arr.mask.tolist() == erased
+    info = _unpacked_mask.cache_info()
+    assert info.currsize == info.maxsize == PLAN_CACHE_SIZE
 
 
 @pytest.mark.parametrize("shape", [s for s in STRIPE_SHAPES if s[2] > s[0]], ids=str)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -108,6 +110,54 @@ def test_repair_multi_unrecoverable(spec_10_5):
     arr.erase_nodes({0, 1, 2})  # three data failures, f = 2
     with pytest.raises(UnrecoverableErasureError):
         repair_multi(arr, {0, 1, 2}, spec_10_5)
+
+
+def test_repair_multi_contract(spec_10_5):
+    """What repair_multi returns and raises, for every form `failed` takes."""
+    spec = spec_10_5
+    _, clean = fresh_array(spec, seed=5)
+    stored = {x: clean.symbols[:, x].tolist() for x in range(spec.n)}
+    arr = clean.copy()
+    arr.erase_nodes({1, 3, 8})
+    want = [(x, stored[x]) for x in (1, 3, 8)]
+    # keys in increasing node order, whatever form `failed` takes
+    for failed in ([8, 3, 1], {8, 1, 3}, (x for x in (3, 8, 1)), [3, 3, 1, 8, 1, 8]):
+        assert list(repair_multi(arr, failed, spec).items()) == want
+    # a masked node outside `failed` is erased but not returned
+    assert list(repair_multi(arr, [3], spec).items()) == [(3, stored[3])]
+    assert list(repair_multi(arr, (9, 8), spec).items()) == [(8, stored[8]), (9, stored[9])]
+    # an unmasked failed node is decoded all the same
+    assert list(repair_multi(clean, [4, 0], spec).items()) == [(0, stored[0]), (4, stored[4])]
+    # an empty `failed` returns nothing, but still decodes the masked nodes
+    assert repair_multi(clean, [], spec) == {} and repair_multi(arr, (), spec) == {}
+    arr.erase_nodes({0, 2})
+    for failed in ([], [9]):
+        with pytest.raises(UnrecoverableErasureError) as exc:
+            repair_multi(arr, failed, spec)
+        assert (str(exc.value), exc.value.rank, exc.value.needed) == (
+            "erasure pattern [0, 1, 2, 3] is not decodable", 15, 25)
+    for failed in ([-1, 0], [0, spec.n]):
+        with pytest.raises(ValueError, match="^failed node index out of range$"):
+            repair_multi(clean, failed, spec)
+
+
+def test_codespec_shape_fields(spec_10_5):
+    """k, tau, n_a, n_b and n are set once, outside the dataclass fields:
+    equality, hash, repr, pickling and the spec JSON see only the parts."""
+    for spec in (spec_10_5, puncture(spec_10_5, 2), CodeSpec.build(8, 12, 9, 3, construction=2)):
+        a, b = spec.class_a, spec.class_b
+        shape = (a.k, a.tau, a.n_a, b.n_b, a.n_a + b.n_b - a.k)
+        assert (spec.k, spec.tau, spec.n_a, spec.n_b, spec.n) == shape
+        assert [f.name for f in dataclasses.fields(spec)] == ["field", "class_a", "class_b"]
+        assert repr(spec) == f"CodeSpec(field={spec.field!r}, class_a={a!r}, class_b={b!r})"
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec) and repr(back) == repr(spec)
+        assert (back.k, back.tau, back.n_a, back.n_b, back.n) == shape
+        assert back.to_json() == spec.to_json() == CodeSpec.from_json(spec.to_json()).to_json()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.n = 0
+    short = dataclasses.replace(spec_10_5, class_b=puncture(spec_10_5, 1).class_b)
+    assert (short.n_b, short.n) == (spec_10_5.n_b - 1, spec_10_5.n - 1)
 
 
 def test_puncture_levels(spec_10_5):
