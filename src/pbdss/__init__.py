@@ -4,7 +4,7 @@ exact read-cost simulation and brute-force verification oracles."""
 
 from .class_a import ClassASpec, FaultToleranceReport, UnrecoverableErasureError, fault_tolerance
 from .class_b import ClassBSpec, construct1_parities, construct2_parities
-from .gf import FieldSpec, Symbol, field_arith, gaussian_solve, symbol_bits
+from .gf import FieldSpec
 from .layout import CodeArray, DataArray, index_sets
 from .repair import CodeSpec, ReadTrace, encode, puncture, repair_data_node, repair_multi, repair_parity_node
 
@@ -19,18 +19,14 @@ __all__ = [
     "FaultToleranceReport",
     "FieldSpec",
     "ReadTrace",
-    "Symbol",
     "UnrecoverableErasureError",
     "construct1_parities",
     "construct2_parities",
     "encode",
     "fault_tolerance",
-    "field_arith",
-    "gaussian_solve",
     "index_sets",
     "puncture",
     "repair_data_node",
     "repair_multi",
     "repair_parity_node",
-    "symbol_bits",
 ]

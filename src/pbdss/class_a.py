@@ -20,7 +20,6 @@ import numpy as np
 
 from .gf import (
     FieldSpec,
-    _rank_tables,
     array_sub,
     batch_rank,
     eliminate,
@@ -107,11 +106,11 @@ def mds_generator(
     below k equals sum_l g(x_l) L_l, so g = z^e gives V_parity[e][j] =
     sum_l V_data[e][l] P[l][j], and V_data is invertible.  The differences
     are one array_sub, the products and quotients sums of their logs
-    (_rank_tables).  Checked by verify_mds.
+    (field.tables).  Checked by verify_mds.
     """
     if field.q < n_a + 1:
         raise ValueError(f"field order {field.q} too small for length {n_a}")
-    exp, log = _rank_tables(field.p, field.m, field.reduction)
+    exp, log = field.tables.exp, field.tables.log
     points = np.arange(1, n_a + 1)
     # log(x_i - x_m) for every point i and data point m; the zero diagonal
     # (i = m), which no product takes, adds 0

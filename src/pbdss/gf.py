@@ -11,27 +11,29 @@ independent reference the array kernels are tested against.
 Fields are capped at q <= 2**16 so elements fit in 16-bit storage and
 exhaustive checks (irreducibility, field axioms in tests) stay cheap.
 
-A field's exp/log tables are a pure function of (p, m, reduction), so they
-are built once per field and shared, read-only, by every FieldSpec of that
-field.  Every elimination runs on one kernel on these O(q) tables, so on
-every field up to q = 2**16: _gauss_jordan, lockstep Gauss-Jordan on a
-(B, R, C) stack with an optional right-hand side.  batch_rank is it with
-none (the MDS check, the fault-tolerance search, the min-read search's
-gaps), eliminate it on one matrix with one (the multi-node decoder,
-oracle.ml_decode); pivot_step, a min-read search
-step, makes its row update.  The one subtraction of these kernels and of
-matmul (with which class_a.decode_plan re-encodes erased parities),
-array_sub, is XOR for p = 2, a compare-and-add for odd primes and, for
-odd-p extension fields, one lookup in an O(q) Zech-logarithm table
-between the exp/log lookups.  Their one field sum, _add_reduce, serves
-matmul and the segment sums with which plan.replay streams a plan's
-nonzero terms: XOR for p = 2, an integer sum and one % p for odd primes
-and, for odd-p extension fields, a sum over an O(q * m) table of every
-element's digits, one % p and one dot with the powers of p.  So no
-kernel loops over digits.  The scalar solvers (row_reduce, solve_values,
-gaussian_solve, matrix_rank) stay public as the reference the tests
-check the kernels against.  No module uses the q**2 dense tables any
-more; they stay only for the benchmark, which still builds them.
+Every table of a field is a pure function of (p, m, reduction), so
+_field_tables builds them all once per field into one read-only record
+(_Tables), which every FieldSpec of the field holds as `tables`.  Every
+kernel, scalar op and plan reads it; nothing else builds a field table.
+
+Every elimination runs on one kernel, on every field up to q = 2**16:
+_gauss_jordan, lockstep Gauss-Jordan on a (B, R, C) stack with an
+optional right-hand side.  batch_rank is it with none (the MDS check, the
+fault-tolerance search, the min-read search's gaps), eliminate it on one
+matrix with one (the multi-node decoder, oracle.ml_decode); pivot_step, a
+min-read search step, makes its row update.  The one subtraction of these
+kernels and of matmul (with which class_a.decode_plan re-encodes erased
+parities), array_sub, is XOR for p = 2, a compare-and-add for odd primes
+and, for odd-p extension fields, one Zech lookup between the exp/log
+lookups.  Their one field sum, _add_reduce, serves matmul and the segment
+sums with which plan.replay streams a plan's nonzero terms: XOR for
+p = 2, an integer sum and one % p for odd primes and, for odd-p extension
+fields, a sum of every element's digit row, one % p and one dot with the
+powers of p.  So no kernel loops over digits.  The scalar solvers
+(row_reduce, solve_values, matrix_rank) stay public as the reference the
+tests check the kernels against.  No module uses the q**2 dense tables;
+they stay only for the benchmark, which still builds them, and come from
+the same kernels.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_FIELD_ORDER = 1 << 16
-
-
-class FieldMismatchError(ValueError):
-    """Arithmetic was attempted between symbols of different fields."""
 
 
 def _is_prime(n: int) -> bool:
@@ -165,9 +163,27 @@ def default_reduction(p: int, m: int) -> tuple[int, ...]:
 
 
 class _Tables(NamedTuple):
+    """Every table of one field, as _field_tables builds it; the arrays are
+    int64 and read-only.
+
+    With n = q - 1, exp is periodic over 3n and then zero-padded, and
+    log 0 = 3n points into the pad.  Elimination indexes exp with sums of
+    two logs of entries (each at most n - 1 when nonzero) and one of a
+    pivot's inverse: with every term nonzero the sum stays in the periodic
+    part, with any log 0 in it in the pad, so exp[sum] is the product, zero
+    or not, with no mask.
+    """
+
     generator: int  # smallest element of order q - 1
-    exp: tuple[int, ...]  # g**i for 0 <= i < 2(q - 1): log sums index it unreduced
-    log: tuple[int, ...]  # inverse of exp on nonzero elements; log[0] is unused
+    exp: np.ndarray  # g**(i mod n) for i < 3n, then 3n + q zeros
+    log: np.ndarray  # inverse of exp on nonzero elements; log 0 = 3n
+    inv: np.ndarray  # log(1 / x), 0 at x = 0: a pivot's inverse
+    own: np.ndarray  # log(x - 1): clears a kept pivot row down to itself / x
+    zech: np.ndarray | None  # odd-p extension fields only (_zech), else None
+    digits: np.ndarray | None  # odd-p extension fields only: each element's (m,) base-p digits
+    powers: np.ndarray | None  # odd-p extension fields only: the p**i that put digits together
+    exp_seq: tuple[int, ...]  # exp[:2n] as ints: the scalar ops index it with log sums unreduced
+    log_seq: tuple[int, ...]  # log as ints, for the scalar ops, which never read log 0
 
 
 def _mul_matrix(c: int, p: int, m: int, x_mat: np.ndarray) -> np.ndarray:
@@ -191,67 +207,103 @@ def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
+def _zech(exp: np.ndarray, log: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Zech logarithms of an odd-characteristic field, padded for array_sub.
+
+    With g the generator, n = q - 1 and h = n / 2 (so g**h = -1), the Zech
+    logarithm Z(i) = log(1 + g**i) gives a - b = a * (1 + (-b) / a) as
+    g**(log a + Z(log b - log a + h)).  array_sub reads it at
+    j = log b - log a + 3n, with the field's logs (log 0 = 3n), and adds
+    log a to the entry; exp of that sum is a - b.  The 6n + 1 entries fall
+    into three disjoint regions, one per case, so no case needs a mask:
+
+    - both nonzero, j in [2n + 1, 4n - 1]: Z(j - 3n + h mod n), except at
+      j = 3n (a = b), where 1 + g**h = 0 and the entry is 3n, so that
+      log a + 3n lands in the zero pad of exp (a = b = 0 also reads j = 3n);
+    - a = 0, j = log b in [0, n - 1]: log b + h - 3n, so the sum is
+      log(-b) = log b + h;
+    - b = 0, j = 6n - log a in [5n + 1, 6n]: 0, so the sum is log a.
+
+    Every sum stays below 3n, inside the periodic part of exp, or lands in
+    its zero pad.
+    """
+    half, zero_log = n // 2, 3 * n
+    powers = exp[:n]
+    # 1 + g**i: adding 1 changes only digit 0, which wraps from p - 1 to 0;
+    # where that is 0, log 0 = 3n
+    zech = log[powers + 1 - p * (powers % p == p - 1)]
+    table = np.zeros(2 * zero_log + 1, dtype=np.int64)
+    table[:n] = np.arange(n) + half - zero_log
+    d = np.arange(-(n - 1), n)
+    table[zero_log + d] = zech[(d + half) % n]
+    return table
+
+
 @functools.lru_cache(maxsize=64)
 def _field_tables(p: int, m: int, reduction: tuple[int, ...]) -> _Tables:
-    """Generator and exp/log tables of GF(p^m), built in O(q) vectorised steps.
+    """Every table of GF(p^m) (_Tables), built once per field in O(q * m)
+    vectorised steps; the only builder of field tables.
 
     Multiplying by an element is GF(p)-linear on digit vectors, so the
     powers of the generator follow from about log2(q) doublings: append
-    `powers @ M % p` to `powers`, then square M.  A reducible polynomial
-    raises here, and lru_cache never stores an exception.
+    `rows @ M % p` to `rows`, then square M.  x - 1 and 1 + x change only
+    digit 0, so the build calls no kernel.  A reducible polynomial raises
+    here, and lru_cache never stores an exception.
     """
     if m > 1 and not is_irreducible(list(reduction), p):
         raise ValueError(f"reduction polynomial {reduction} is reducible over GF({p})")
-    q = p**m
+    q, n = p**m, p**m - 1
     x_mat = np.zeros((m, m), dtype=np.int64)
     x_mat[:-1, 1:] = np.eye(m - 1, dtype=np.int64)
     if m > 1:
         x_mat[-1] = [(-c) % p for c in reduction[:m]]
     one = np.eye(m, dtype=np.int64)
-    orders = [(q - 1) // r for r in _prime_factors(q - 1)]
+    orders = [n // r for r in _prime_factors(n)]
     gen = 1  # GF(2) has no other candidate
     for c in range(2, q):
         mul_c = _mul_matrix(c, p, m, x_mat)
         if not any(np.array_equal(_mat_pow(mul_c, e, p), one) for e in orders):
             gen = c
             break
-    powers = one[:1]
+    rows = one[:1]
     step = _mul_matrix(gen, p, m, x_mat)
-    while len(powers) < q - 1:
-        powers = np.concatenate([powers, powers @ step % p])
+    while len(rows) < n:
+        rows = np.concatenate([rows, rows @ step % p])
         step = step @ step % p
-    exp = powers[: q - 1] @ p ** np.arange(m, dtype=np.int64)
-    log = np.zeros(q, dtype=np.int64)
-    log[exp] = np.arange(q - 1)
-    exp_list = exp.tolist()
-    return _Tables(gen, tuple(exp_list + exp_list), tuple(log.tolist()))
+    zero_log = 3 * n
+    exp = np.zeros(2 * zero_log + q, dtype=np.int64)
+    exp[:zero_log] = np.tile(rows[:n] @ p ** np.arange(m, dtype=np.int64), 3)
+    log = np.full(q, zero_log, dtype=np.int64)
+    log[exp[:n]] = np.arange(n)
+    elems = np.arange(q, dtype=np.int64)
+    # x - 1: digit 0 wraps from 0 to p - 1
+    minus_one = elems ^ 1 if p == 2 else elems - 1 + p * (elems % p == 0)
+    zech = digits = powers = None
+    if p > 2 and m > 1:
+        zech = _zech(exp, log, p, n)
+        powers = p ** np.arange(m, dtype=np.int64)
+        digits = elems[:, None] // powers % p
+    arrays = (exp, log, (n - log) % n, log[minus_one], zech, digits, powers)
+    for t in arrays:
+        if t is not None:
+            t.flags.writeable = False
+    return _Tables(gen, *arrays, tuple(exp[: 2 * n].tolist()), tuple(log.tolist()))
 
 
 @functools.lru_cache(maxsize=16)
-def _dense_tables(p: int, m: int, reduction: tuple[int, ...]):
-    """Read-only int32 (add, sub, mul, inv) tables by broadcasting exp/log."""
-    q = p**m
-    tables = _field_tables(p, m, reduction)
-    exp = np.array(tables.exp, dtype=np.int32)
-    log = np.array(tables.log, dtype=np.int32)
-    mul = exp[log[:, None] + log[None, :]]
-    mul[0, :] = 0
-    mul[:, 0] = 0
-    inv = exp[q - 1 - log]
-    inv[0] = 0
-    elems = np.arange(q, dtype=np.int32)
-    if p == 2:
-        add = sub = elems[:, None] ^ elems[None, :]
-    else:  # digit-wise mod p; a single digit when m == 1
-        add = np.zeros((q, q), dtype=np.int32)
-        sub = np.zeros((q, q), dtype=np.int32)
-        for i in range(m):
-            d = elems // p**i % p
-            add += (d[:, None] + d[None, :]) % p * p**i
-            sub += (d[:, None] - d[None, :]) % p * p**i
-    out = (add, sub, mul, inv)
-    for t in out:
-        t.flags.writeable = False
+def _dense_tables(field: FieldSpec):
+    """Read-only int32 (add, sub, mul, inv) tables from the kernels on
+    field.tables: array_sub for sub and for add (a - (-b)), exp[log + log]
+    for mul, exp[inv] for inv, with inv 0 = 0."""
+    t = field.tables
+    elems = np.arange(field.q, dtype=np.int64)
+    add = array_sub(field, elems[:, None], array_sub(field, 0, elems))
+    sub = array_sub(field, elems[:, None], elems)
+    mul = t.exp[t.log[:, None] + t.log]
+    inv = t.exp[t.inv] * (elems != 0)
+    out = tuple(x.astype(np.int32) for x in (add, sub, mul, inv))
+    for x in out:
+        x.flags.writeable = False
     return out
 
 
@@ -259,7 +311,9 @@ class FieldSpec:
     """A finite field GF(p^m) with q = p^m <= 2**16.
 
     Instances are immutable and hashable; equality is structural on
-    (p, m, reduction), so two specs of the same field interoperate.
+    (p, m, reduction), so two specs of the same field interoperate and hold
+    the one `tables` record of _field_tables.  A spec pickles as that
+    triple: unpickling looks the record up again rather than copying it.
     """
 
     def __init__(self, p: int, m: int = 1, reduction: tuple[int, ...] | None = None):
@@ -284,8 +338,10 @@ class FieldSpec:
         self.m = m
         self.q = q
         self.reduction = reduction
-        self.generator, self._exp, self._log = _field_tables(p, m, reduction)
-        self._dense = None
+        self.tables = _field_tables(p, m, reduction)
+
+    def __reduce__(self):
+        return FieldSpec, (self.p, self.m, self.reduction)
 
     # -- representation -----------------------------------------------------
 
@@ -335,47 +391,41 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[self._log[a] + self._log[b]]
+        t = self.tables
+        return t.exp_seq[t.log_seq[a] + t.log_seq[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._exp[self.q - 1 - self._log[a]]
+        return self.tables.exp_seq[self.q - 1 - self.tables.log_seq[a]]
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise ZeroDivisionError("division by zero field element")
         if a == 0:
             return 0
-        return self._exp[self._log[a] - self._log[b] + self.q - 1]
+        t = self.tables
+        return t.exp_seq[t.log_seq[a] - t.log_seq[b] + self.q - 1]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 has no multiplicative inverse")
             return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def element(self, value: int) -> "Symbol":
-        return Symbol(value % self.q, self)
-
-    def zero(self) -> "Symbol":
-        return Symbol(0, self)
-
-    def one(self) -> "Symbol":
-        return Symbol(1, self)
+        return self.tables.exp_seq[(self.tables.log_seq[a] * e) % (self.q - 1)]
 
     def dense_tables(self):
         """(add, sub, mul, inv) numpy tables, each with q**2 entries.
 
         No module of the package uses them: every elimination runs on the
-        O(q) tables of _rank_tables.  They stay while the benchmark harness
-        builds them in its set-up.  Built on first use and shared,
-        read-only, by every FieldSpec of the field; capped at q <= 1024.
+        O(q) tables of `tables`.  They stay while the benchmark harness
+        builds them in its set-up.  Built on first use from the array
+        kernels and shared, read-only, by every FieldSpec of the field;
+        capped at q <= 1024.
         """
-        if self._dense is None:
-            if self.q > 1024:
-                raise ValueError(f"dense tables capped at q <= 1024, got {self.q}")
-            self._dense = _dense_tables(self.p, self.m, self.reduction)
-        return self._dense
+        if self.q > 1024:
+            raise ValueError(f"dense tables capped at q <= 1024, got {self.q}")
+        return _dense_tables(self)
 
 
 @functools.lru_cache(maxsize=16)  # a few fields per process, as for the tables
@@ -383,66 +433,6 @@ def cached_field(p: int, m: int = 1, reduction: tuple[int, ...] | None = None) -
     """FieldSpec(p, m, reduction), built once per triple for array reads and
     spec loads; a bad triple raises every time (lru_cache stores no exception)."""
     return FieldSpec(p, m, reduction)
-
-
-@dataclass(frozen=True)
-class Symbol:
-    """One element of a finite field: canonical value plus its FieldSpec."""
-
-    value: int
-    field: FieldSpec
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise ValueError(f"value {self.value} out of range for {self.field}")
-
-    def _check(self, other: "Symbol") -> None:
-        if not isinstance(other, Symbol):
-            raise TypeError(f"expected Symbol, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(f"mixed fields: {self.field} vs {other.field}")
-
-    def __add__(self, other: "Symbol") -> "Symbol":
-        self._check(other)
-        return Symbol(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other: "Symbol") -> "Symbol":
-        self._check(other)
-        return Symbol(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other: "Symbol") -> "Symbol":
-        self._check(other)
-        return Symbol(self.field.mul(self.value, other.value), self.field)
-
-    def __truediv__(self, other: "Symbol") -> "Symbol":
-        self._check(other)
-        return Symbol(self.field.div(self.value, other.value), self.field)
-
-    def __neg__(self) -> "Symbol":
-        return Symbol(self.field.neg(self.value), self.field)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-
-def field_arith(a: Symbol, b: Symbol, kind: str) -> Symbol:
-    """Dispatch one binary field operation: add, sub, mul or div."""
-    ops = {
-        "add": Symbol.__add__,
-        "sub": Symbol.__sub__,
-        "mul": Symbol.__mul__,
-        "div": Symbol.__truediv__,
-    }
-    try:
-        op = ops[kind]
-    except KeyError:
-        raise ValueError(f"unknown operation {kind!r}") from None
-    return op(a, b)
-
-
-def symbol_bits(field: FieldSpec) -> int:
-    """Symbol size in bits: m * ceil(log2 p)."""
-    return field.bits
 
 
 # -- dense linear solving ----------------------------------------------------
@@ -458,7 +448,7 @@ class SolveResult:
     erasure pattern upstream).
     """
 
-    solution: list[Symbol] | None
+    solution: list[int] | None
     rank: int
     consistent: bool
     pivot_cols: tuple[int, ...]
@@ -491,7 +481,7 @@ def row_reduce(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]]
 
 
 def solve_values(field: FieldSpec, a_rows: list[list[int]], b: list[int]) -> SolveResult:
-    """gaussian_solve on plain integer values (the workhorse solver)."""
+    """Solve A x = b over the field, or report rank and free unknowns."""
     if len(a_rows) != len(b):
         raise ValueError("matrix/vector size mismatch")
     ncols = len(a_rows[0]) if a_rows else 0
@@ -503,26 +493,10 @@ def solve_values(field: FieldSpec, a_rows: list[list[int]], b: list[int]) -> Sol
     undetermined = tuple(c for c in range(ncols) if c not in pivot_cols)
     solution = None
     if consistent and not undetermined:
-        vals = [0] * ncols
+        solution = [0] * ncols
         for i, c in enumerate(pivot_cols):
-            vals[c] = red[i][ncols]
-        solution = [Symbol(v, field) for v in vals]
+            solution[c] = red[i][ncols]
     return SolveResult(solution, rank, consistent, pivot_cols, undetermined)
-
-
-def gaussian_solve(a: list[list[Symbol]], b: list[Symbol]) -> SolveResult:
-    """Solve A x = b over one field, or report rank and free unknowns."""
-    if not a:
-        raise ValueError("empty system")
-    field = a[0][0].field
-    for row in a:
-        for s in row:
-            if s.field != field:
-                raise FieldMismatchError("matrix entries from different fields")
-    for s in b:
-        if s.field != field:
-            raise FieldMismatchError("rhs entries from a different field")
-    return solve_values(field, [[s.value for s in row] for row in a], [s.value for s in b])
 
 
 def matrix_rank(field: FieldSpec, rows: list[list[int]]) -> int:
@@ -544,84 +518,13 @@ def rank_batch_len(rows: int, cols: int) -> int:
     return max(1, RANK_BATCH_ENTRIES // max(1, rows * cols))
 
 
-@functools.lru_cache(maxsize=16)
-def _rank_tables(p: int, m: int, reduction: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """exp, periodic over 3(q - 1) and then zero-padded, and log with
-    log 0 = 3(q - 1) pointing into the pad.  Elimination indexes exp with
-    sums of two logs of entries (each at most q - 2 when nonzero) and one
-    of a pivot's inverse: with every term nonzero the sum stays in the
-    periodic part, with any log 0 in it in the pad, so exp[sum] is the
-    product, zero or not, with no mask."""
-    q = p**m
-    tables = _field_tables(p, m, reduction)
-    zero_log = 3 * (q - 1)
-    exp = np.zeros(2 * zero_log + q, dtype=np.int64)
-    exp[:zero_log] = np.tile(tables.exp[: q - 1], 3)
-    log = np.array(tables.log, dtype=np.int64)
-    log[0] = zero_log
-    for t in (exp, log):
-        t.flags.writeable = False
-    return exp, log
-
-
-@functools.lru_cache(maxsize=16)
-def _pivot_logs(p: int, m: int, reduction: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """log(1 / x), 0 at x = 0, and log(x - 1) for every element x: at a
-    pivot x of _gauss_jordan, its inverse and the factor that clears a kept
-    pivot row down to itself / x."""
-    n, log = p**m - 1, _rank_tables(p, m, reduction)[1]  # log 0 = 3n, a multiple of n
-    tables = (n - log) % n, log[array_sub(cached_field(p, m, reduction), np.arange(n + 1), 1)]
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-@functools.lru_cache(maxsize=16)
-def _zech_table(p: int, m: int, reduction: tuple[int, ...]) -> np.ndarray:
-    """Zech logarithms of an odd-characteristic field, padded for array_sub.
-
-    With g the generator, n = q - 1 and h = n / 2 (so g**h = -1), the Zech
-    logarithm Z(i) = log(1 + g**i) gives a - b = a * (1 + (-b) / a) as
-    g**(log a + Z(log b - log a + h)).  array_sub reads it at
-    j = log b - log a + 3n, with the logs of _rank_tables (log 0 = 3n), and
-    adds log a to the entry; exp of that sum is a - b.  The 6n + 1 entries
-    fall into three disjoint regions, one per case, so no case needs a mask:
-
-    - both nonzero, j in [2n + 1, 4n - 1]: Z(j - 3n + h mod n), except at
-      j = 3n (a = b), where 1 + g**h = 0 and the entry is 3n, so that
-      log a + 3n lands in the zero pad of exp (a = b = 0 also reads j = 3n);
-    - a = 0, j = log b in [0, n - 1]: log b + h - 3n, so the sum is
-      log(-b) = log b + h;
-    - b = 0, j = 6n - log a in [5n + 1, 6n]: 0, so the sum is log a.
-
-    Every sum stays below 3n, inside the periodic part of exp, or lands in
-    its zero pad.  Built once per field, in O(q) numpy steps, and read-only.
-    """
-    q = p**m
-    n = q - 1
-    half, zero_log = n // 2, 3 * n
-    tables = _field_tables(p, m, reduction)
-    powers = np.array(tables.exp[:n], dtype=np.int64)
-    log = np.array(tables.log, dtype=np.int64)
-    # 1 + g**i: adding 1 changes only digit 0, which wraps from p - 1 to 0
-    one_plus = powers + 1 - p * (powers % p == p - 1)
-    zech = log[one_plus]
-    zech[one_plus == 0] = zero_log
-    table = np.zeros(2 * zero_log + 1, dtype=np.int64)
-    table[:n] = np.arange(n) + half - zero_log
-    d = np.arange(-(n - 1), n)
-    table[zero_log + d] = zech[(d + half) % n]
-    table.flags.writeable = False
-    return table
-
-
 def array_sub(field: FieldSpec, a, b, out=None) -> np.ndarray:
     """a - b elementwise over the field, for broadcastable integer arrays,
     into the int64 array `out` (which may be a) when given.
 
     XOR for p = 2; for odd primes the difference, plus p where it is
     negative; for odd-p extension fields one lookup in the Zech table
-    between the O(q) exp/log lookups of _rank_tables.
+    between the O(q) exp/log lookups of field.tables.
     """
     p = field.p
     if p == 2:
@@ -630,29 +533,13 @@ def array_sub(field: FieldSpec, a, b, out=None) -> np.ndarray:
         d = np.subtract(a, b, out=out)
         d += p * (d < 0)
         return d
-    exp, log = _rank_tables(p, field.m, field.reduction)
-    la = log[a]
-    d = exp[la + _zech_table(p, field.m, field.reduction)[log[b] - la + 3 * (field.q - 1)]]
+    t = field.tables
+    la = t.log[a]
+    d = t.exp[la + t.zech[t.log[b] - la + 3 * (field.q - 1)]]
     if out is None:
         return d
     out[...] = d
     return out
-
-
-@functools.lru_cache(maxsize=16)
-def _digit_table(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The base-p digits of every element of GF(p^m), one (q, m) row each,
-    and the powers of p that put digits back together.
-
-    Addition is digit-wise mod p, so a field sum of elements is the sum of
-    their digit rows, % p, dotted with the powers.  Both are int64, so
-    the sums cannot overflow; built once per (p, m) and read-only.
-    """
-    powers = p ** np.arange(m, dtype=np.int64)
-    digits = np.arange(p**m, dtype=np.int64)[:, None] // powers % p
-    for t in (digits, powers):
-        t.flags.writeable = False
-    return digits, powers
 
 
 def _add_reduce(field: FieldSpec, a: np.ndarray, axis: int, starts=None) -> np.ndarray:
@@ -662,17 +549,17 @@ def _add_reduce(field: FieldSpec, a: np.ndarray, axis: int, starts=None) -> np.n
     along the axis instead, as ufunc.reduceat takes them (every segment
     must be non-empty).  XOR for p = 2, an integer sum and one % p for odd
     primes; for odd-p extension fields the sum of each element's digit row
-    (_digit_table), one % p and one dot with the powers of p.
+    (tables.digits, int64, so the sums cannot overflow), one % p and one
+    dot with the powers of p.
     """
-    p = field.p
-    if p > 2 and field.m > 1:
-        digits, powers = _digit_table(p, field.m)
+    p, digits = field.p, field.tables.digits
+    if digits is not None:
         a = digits[a]
     ufunc = np.bitwise_xor if p == 2 else np.add
     total = ufunc.reduce(a, axis=axis) if starts is None else ufunc.reduceat(a, starts, axis=axis)
     if p == 2:
         return total
-    return total % p if field.m == 1 else total % p @ powers
+    return total % p if digits is None else total % p @ field.tables.powers
 
 
 def _gauss_jordan(field: FieldSpec, a: np.ndarray, rhs: np.ndarray | None = None):
@@ -681,7 +568,7 @@ def _gauss_jordan(field: FieldSpec, a: np.ndarray, rhs: np.ndarray | None = None
     stack rhs, E @ rhs, E the row operations that reduce each matrix.
 
     Step c takes each matrix's pivot row by flat row index (one argmax, one
-    gather) and its inverse from _pivot_logs (1 where there is none: the
+    gather) and its inverse from tables.inv (1 where there is none: the
     zero row clears nothing); every row loses its multiple of the pivot row
     past column c, in place.  The pivot is the first nonzero row and clears
     itself; with rhs it is row_reduce's, the first below the pivots, swapped
@@ -689,8 +576,8 @@ def _gauss_jordan(field: FieldSpec, a: np.ndarray, rhs: np.ndarray | None = None
     Held as (C + L, B, rows) so that blocks are contiguous."""
     keep = rhs is not None
     b, rows, cols = a.shape
-    exp, log = _rank_tables(field.p, field.m, field.reduction)
-    inv, own = _pivot_logs(field.p, field.m, field.reduction)
+    t = field.tables
+    exp, log, inv, own = t.exp, t.log, t.inv, t.own
     both = a if rhs is None else np.concatenate([a, rhs], axis=2)
     m = np.zeros((both.shape[2], b, rows + keep), dtype=np.int64)  # with rhs, a zero row 0 first
     m[:, :, keep:] = both.transpose(2, 0, 1)
@@ -737,11 +624,11 @@ def batch_rank(field: FieldSpec, mats) -> np.ndarray:
 def matmul(field: FieldSpec, a, b) -> np.ndarray:
     """a @ b over the field, for an (R, C) and a (C, L) array of elements.
 
-    Each product is one lookup in the O(q) tables of _rank_tables; a is
+    Each product is one lookup in the O(q) tables of field.tables; a is
     taken a block of rows at a time, RANK_BATCH_ENTRIES products per
     block, so temporaries stay small for any shape and any q <= 2**16.
     """
-    exp, log = _rank_tables(field.p, field.m, field.reduction)
+    exp, log = field.tables.exp, field.tables.log
     la, lb = log[a], log[b]
     step = rank_batch_len(*lb.shape)
     if len(la) <= step:
@@ -754,10 +641,10 @@ def pivot_step(field: FieldSpec, m, rows) -> np.ndarray:
     """The (B, R, C) results of B min-read search steps on the (R, C) array
     m, by the row update of _gauss_jordan: step b takes (m[s, c] / r[c]) * r
     from each row m[s], r = rows[b] and c the first nonzero column of r."""
-    exp, log = _rank_tables(field.p, field.m, field.reduction)
+    t = field.tables
     c = (rows != 0).argmax(axis=1)
-    lrow = log[rows] + _pivot_logs(field.p, field.m, field.reduction)[0][rows[np.arange(len(rows)), c]][:, None]
-    return array_sub(field, m, exp[log[m[:, c].T][:, :, None] + lrow[:, None, :]])
+    lrow = t.log[rows] + t.inv[rows[np.arange(len(rows)), c]][:, None]
+    return array_sub(field, m, t.exp[t.log[m[:, c].T][:, :, None] + lrow[:, None, :]])
 
 
 def eliminate(field: FieldSpec, a, b) -> tuple[int, np.ndarray]:

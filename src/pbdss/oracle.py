@@ -37,6 +37,11 @@ def generator_rows(code) -> list[list[np.ndarray]]:
 
     Accepts a full CodeSpec or a bare ClassASpec (treated as a code of
     length n_a with no sum parities).
+
+    Kept apart from class_a._generator, on which decode_plan builds, so
+    that the oracle does not share the decoder's forms: it derives its own
+    from alpha, piggyback_source and node_parities, and
+    test_generator_rows_match_encoder ties them to encode.
     """
     if isinstance(code, ClassASpec):
         spec_a, class_b, n = code, None, code.n_a

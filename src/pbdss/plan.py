@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import FieldSpec, _add_reduce, _rank_tables, rank_batch_len
+from .gf import FieldSpec, _add_reduce, rank_batch_len
 
 NodePos = tuple[int, int]  # (node, row)
 
@@ -108,8 +108,8 @@ class Terms(NamedTuple):
     """A plan's matrix in the form replay streams: its nonzero entries, row
     by row and, within a row, in read order.
 
-    Term t multiplies read `reads[t]` by the coefficient whose log (in the
-    tables of gf._rank_tables) is `logs[t]`; row s sums the terms from
+    Term t multiplies read `reads[t]` by the coefficient whose log (in
+    FieldSpec.tables) is `logs[t]`; row s sums the terms from
     `starts[s]` up to the next row's start.  A row with no nonzero entry
     keeps one zero term on read 0: its log is log 0, which sends the
     product into the zero pad of exp, so every row has a term and no
@@ -124,7 +124,7 @@ class Terms(NamedTuple):
 
 def _terms(field: FieldSpec, matrix: np.ndarray) -> Terms:
     """Compile a matrix into its Terms."""
-    _, log = _rank_tables(field.p, field.m, field.reduction)
+    log = field.tables.log
     keep = matrix != 0
     if keep.shape[1]:
         keep[:, 0] |= ~keep.any(axis=1)
@@ -228,7 +228,7 @@ def _lanes(field: FieldSpec, terms: Terms, values: np.ndarray) -> np.ndarray:
     """The (S,) or (S, L) outputs over the (T,) or (T, L) values of the terms."""
     if not len(terms.logs):  # the plan reads nothing: every output is 0
         return np.zeros((len(terms.starts), *values.shape[1:]), dtype=np.int64)
-    exp, log = _rank_tables(field.p, field.m, field.reduction)
+    exp, log = field.tables.exp, field.tables.log
     logs = terms.logs if values.ndim == 1 else terms.logs[:, None]
     return _add_reduce(field, exp[log.take(values) + logs], 0, terms.starts)
 

@@ -57,7 +57,7 @@ def _reference_alpha(n_a, k, field):
     """The parity block from one scalar solve_values per parity column."""
     vand = [[field.pow(x, e) for x in range(1, n_a + 1)] for e in range(k)]
     lead = [row[:k] for row in vand]
-    cols = [[s.value for s in solve_values(field, lead, [row[j] for row in vand]).solution] for j in range(k, n_a)]
+    cols = [solve_values(field, lead, [row[j] for row in vand]).solution for j in range(k, n_a)]
     return [[cols[j][i] for j in range(n_a - k)] for i in range(k)]
 
 

@@ -63,7 +63,7 @@ def test_eliminate_matches_solve_values():
             if rank == m:  # the solution when consistent, else a nonzero residual
                 assert rhs[m:].any() != want.consistent
                 if want.solution is not None:
-                    assert rhs[:m, 0].tolist() == [s.value for s in want.solution]
+                    assert rhs[:m, 0].tolist() == want.solution
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])

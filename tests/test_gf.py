@@ -1,4 +1,5 @@
 import functools
+import pickle
 import random
 import re
 from pathlib import Path
@@ -8,22 +9,16 @@ import pytest
 
 from pbdss.gf import (
     RANK_BATCH_ENTRIES,
-    FieldMismatchError,
     FieldSpec,
-    Symbol,
     _add_reduce,
-    _digit_table,
-    _zech_table,
     array_sub,
     batch_rank,
+    cached_field,
     default_reduction,
-    field_arith,
-    gaussian_solve,
     is_irreducible,
     matrix_rank,
     smallest_field_of_order_at_least,
     solve_values,
-    symbol_bits,
 )
 
 
@@ -62,20 +57,17 @@ def test_field_axioms_exhaustive(p, m):
                 assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
 
 
-def test_symbol_arithmetic_and_mismatch():
-    f8 = FieldSpec(2, 3)
-    f11 = FieldSpec(11)
-    a, b = f8.element(5), f8.element(3)
-    assert (a + b).value == f8.add(5, 3)
-    assert (a * b).value == f8.mul(5, 3)
-    assert (a - b + b).value == a.value
-    with pytest.raises(FieldMismatchError):
-        _ = a + f11.element(1)
-    with pytest.raises(ZeroDivisionError):
-        _ = a / f8.zero()
-    assert field_arith(a, b, "mul").value == f8.mul(5, 3)
-    with pytest.raises(ValueError):
-        field_arith(a, b, "xor")
+def test_pow_of_zero_and_negative_powers():
+    """0**0 = 1 and 0**e = 0 for e > 0; a negative power of 0 raises, as
+    inv(0) and div(a, 0) do, and a**-e is inv(a)**e."""
+    for f in (FieldSpec(11), FieldSpec(2, 3), FieldSpec(3, 2)):
+        assert (f.pow(0, 0), f.pow(0, 3)) == (1, 0)
+        for zero_inverse in (lambda: f.pow(0, -1), lambda: f.pow(0, -4), lambda: f.inv(0), lambda: f.div(1, 0)):
+            with pytest.raises(ZeroDivisionError):
+                zero_inverse()
+        for a in range(1, f.q):
+            assert f.pow(a, -1) == f.inv(a)
+            assert f.pow(a, -3) == f.mul(f.inv(a), f.mul(f.inv(a), f.inv(a)))
 
 
 def test_field_validation():
@@ -137,11 +129,18 @@ def _reference_tables(p, m, reduction):
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 2), (5, 2), (2, 8), (3, 4), (7, 3),
                                  (2, 10), (251, 1)])
 def test_tables_match_polynomial_reference(p, m):
+    """The one build against schoolbook multiplication: the generator, the
+    scalar sequences, the kernel exp (periodic over 3n, then zero-padded)
+    and log (log 0 = 3n), and the pivot logs of 1 / x and x - 1."""
     f = FieldSpec(p, m)
+    t, n = f.tables, f.q - 1
     gen, exp, log = _reference_tables(p, m, f.reduction)
-    assert f.generator == gen
-    assert list(f._exp) == exp
-    assert list(f._log) == log
+    assert t.generator == gen
+    assert list(t.exp_seq) == exp
+    assert t.exp[: 3 * n].tolist() == exp[:n] * 3 and not t.exp[3 * n :].any()
+    assert t.log.tolist() == list(t.log_seq) == [3 * n] + log[1:]
+    assert t.inv.tolist() == [0] + [log[f.inv(x)] for x in range(1, f.q)]
+    assert t.own.tolist() == t.log[[f.sub(x, 1) for x in range(f.q)]].tolist()
 
 
 def _check_dense(f, pairs):
@@ -172,14 +171,14 @@ def test_dense_tables_sampled_large(p, m):
 
 def test_fields_share_read_only_tables():
     f, g = FieldSpec(2, 8), FieldSpec(2, 8, default_reduction(2, 8))
-    assert f._exp is g._exp and f._log is g._log
+    assert f.tables is g.tables
     for a, b in zip(f.dense_tables(), g.dense_tables()):
         assert a is b
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[1] = 0
     other = FieldSpec(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x^2 + 1
-    assert other != f and other._exp != f._exp
+    assert other != f and other.tables.exp_seq != f.tables.exp_seq
     assert FieldSpec(2, 8).dense_tables() is f.dense_tables()
 
 
@@ -193,8 +192,8 @@ def test_largest_binary_field():
     rng = random.Random(16)
     for a in [1, 2, f.q - 1] + [rng.randrange(1, f.q) for _ in range(500)]:
         assert f.mul(a, f.inv(a)) == 1
-        assert f._exp[f._log[a]] == a
-    assert sorted(f._exp[: f.q - 1]) == list(range(1, f.q))
+        assert f.tables.exp_seq[f.tables.log_seq[a]] == a
+    assert sorted(f.tables.exp_seq[: f.q - 1]) == list(range(1, f.q))
 
 
 def test_default_reductions():
@@ -204,14 +203,14 @@ def test_default_reductions():
 
 
 def test_symbol_bits():
-    assert symbol_bits(FieldSpec(11)) == 4
-    assert symbol_bits(FieldSpec(2)) == 1
-    assert symbol_bits(FieldSpec(3, 2)) == 4
+    assert FieldSpec(11).bits == 4
+    assert FieldSpec(2).bits == 1
+    assert FieldSpec(3, 2).bits == 4
 
 
 def test_symbol_bits_monotone_prime_fields():
     primes = [2, 3, 5, 7, 11, 13, 17, 31, 61, 127, 251, 509, 1021]
-    bits = [symbol_bits(FieldSpec(p)) for p in primes]
+    bits = [FieldSpec(p).bits for p in primes]
     assert bits == sorted(bits)
 
 
@@ -224,18 +223,16 @@ def test_smallest_field():
 
 def test_gaussian_solve_identity():
     f = FieldSpec(11)
-    eye = [[f.one() if i == j else f.zero() for j in range(4)] for i in range(4)]
-    b = [f.element(v) for v in (3, 1, 4, 1)]
-    res = gaussian_solve(eye, b)
-    assert [s.value for s in res.solution] == [3, 1, 4, 1]
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    res = solve_values(f, eye, [3, 1, 4, 1])
+    assert res.solution == [3, 1, 4, 1]
 
 
 def test_gaussian_solve_vandermonde_interpolation():
     # Fit y = a + b x through (2, 5) and (3, 9) over GF(11); by hand b = 4, a = 8.
     f = FieldSpec(11)
-    a_mat = [[f.one(), f.element(2)], [f.one(), f.element(3)]]
-    res = gaussian_solve(a_mat, [f.element(5), f.element(9)])
-    assert [s.value for s in res.solution] == [8, 4]
+    res = solve_values(f, [[1, 2], [1, 3]], [5, 9])
+    assert res.solution == [8, 4]
 
 
 def test_gaussian_solve_rank_deficient():
@@ -271,7 +268,7 @@ def test_solve_roundtrip_random_invertible(p, m):
             for j in range(n):
                 b[i] = f.add(b[i], f.mul(a[i][j], x[j]))
         res = solve_values(f, a, b)
-        assert [s.value for s in res.solution] == x
+        assert res.solution == x
 
 
 def _random_matrix(f, rng, rows, cols):
@@ -377,8 +374,8 @@ def test_array_sub_broadcasts_scalars(p, m):
 
 def test_zech_tables_are_shared_and_read_only():
     f = FieldSpec(3, 2)
-    table = _zech_table(f.p, f.m, f.reduction)
-    assert _zech_table(3, 2, default_reduction(3, 2)) is table
+    table = f.tables.zech
+    assert FieldSpec(3, 2, default_reduction(3, 2)).tables.zech is table
     assert len(table) == 6 * (f.q - 1) + 1  # O(q), not q**2
     with pytest.raises(ValueError):
         table[0] = 0
@@ -406,17 +403,33 @@ def test_add_reduce_matches_scalar_fold(p, m):
 
 
 def test_digit_tables_are_shared_and_read_only():
-    digits, powers = _digit_table(3, 2)
-    assert _digit_table(3, 2)[0] is digits
+    digits, powers = FieldSpec(3, 2).tables.digits, FieldSpec(3, 2).tables.powers
+    assert cached_field(3, 2).tables.digits is digits
     assert digits.shape == (9, 2) and (digits @ powers).tolist() == list(range(9))
     with pytest.raises(ValueError):
         digits[0, 0] = 1
 
 
-def test_symbol_value_range():
-    f = FieldSpec(11)
-    with pytest.raises(ValueError):
-        Symbol(11, f)
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 8), (13, 1), (3, 2), (2, 16)])
+def test_one_table_build_per_field(p, m):
+    """Every spec of a field holds the one record of _field_tables, whose
+    arrays are read-only; the Zech and digit tables exist exactly for odd-p
+    extension fields; a spec pickles as its triple, back onto the same
+    record; and the dense tables are shared between specs of the field."""
+    f = FieldSpec(p, m)
+    t = f.tables
+    for g in (FieldSpec(p, m), cached_field(p, m), FieldSpec(p, m, default_reduction(p, m))):
+        assert g.tables is t
+    odd_extension = p > 2 and m > 1
+    assert [x is not None for x in (t.zech, t.digits, t.powers)] == [odd_extension] * 3
+    arrays = [x for x in t if isinstance(x, np.ndarray)]
+    assert len(arrays) == (7 if odd_extension else 4)
+    assert not any(x.flags.writeable for x in arrays)
+    blob = pickle.dumps(f)
+    copy = pickle.loads(blob)
+    assert len(blob) < 200 and copy == f and copy.tables is t
+    if f.q <= 1024:
+        assert copy.dense_tables() is f.dense_tables()
 
 
 def test_only_gf_eliminates():

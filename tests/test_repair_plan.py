@@ -30,7 +30,7 @@ from pbdss.class_a import (
     fault_tolerance,
 )
 from pbdss.class_b import construct1_parities, construct2_parities
-from pbdss.gf import FieldSpec, _rank_tables
+from pbdss.gf import FieldSpec
 from pbdss.layout import CodeArray, DataArray
 from pbdss.metrics import OpCounter
 from pbdss.oracle import ml_decodable
@@ -266,8 +266,7 @@ def test_encode_replay_memory_stays_bounded():
 
 def _rebuilt(plan):
     """The dense matrix the plan's terms stand for."""
-    terms, f = plan.terms, plan.field
-    exp, _ = _rank_tables(f.p, f.m, f.reduction)
+    terms, exp = plan.terms, plan.field.tables.exp
     rows = np.repeat(np.arange(len(terms.starts)), np.diff([*terms.starts, len(terms.logs)]))
     dense = np.zeros(plan.matrix.shape, dtype=np.int64)
     dense[rows, terms.reads] = exp[terms.logs]

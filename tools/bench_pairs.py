@@ -12,7 +12,8 @@ line and its wall time.  At the end it prints, for each end-to-end metric
 of BENCHMARK.json, every pair's two values, then the median [quartiles] of
 each side, the change in the medians, the parent's interquartile range and
 how many pairs the change won (ties count for neither side), and the
-operations per run.
+operations per run.  Each metric ends with its bound from BENCHMARK.json
+and a verdict (see `verdict`).
 """
 
 from __future__ import annotations
@@ -52,6 +53,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q2, q1, q3
 
 
+def verdict(parent: list[float], change: list[float], bound: float, better: str) -> str:
+    """One end-to-end metric's verdict on paired runs, with `bound` the
+    share of the parent's median by which the change may be worse.
+
+    "worse than bound" when the change's median is worse than the
+    parent's by more than that; otherwise "unresolved" when the parent's
+    interquartile range is wider than that and not every change run beats
+    every parent run, since the runs then cannot tell a change within the
+    bound from none; otherwise "within bound".
+    """
+    sign = 1 if better == "lower" else -1
+    (pm, p1, p3), (cm, _, _) = quartiles(parent), quartiles(change)
+    limit = bound * abs(pm)
+    if sign * (cm - pm) > limit:
+        return "worse than bound"
+    all_beat = max(sign * c for c in change) < min(sign * p for p in parent)
+    if p3 - p1 > limit and not all_beat:
+        return "unresolved"
+    return "within bound"
+
+
 def summarise(runs: list[dict], metrics: list[dict]) -> None:
     by_seed: dict[int, dict[str, dict]] = {}
     for run in runs:
@@ -76,6 +98,8 @@ def summarise(runs: list[dict], metrics: list[dict]) -> None:
         print(f"  parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
               f"median change {(cm - pm) / pm:+.1%}, |difference| {abs(cm - pm):.4g} vs parent IQR "
               f"{p3 - p1:.4g}; change won {wins}/{len(pairs)}")
+        print(f"  bound {metric['bound']:.0%}: "
+              f"{verdict(values['parent'], values['change'], metric['bound'], metric['better'])}")
 
 
 def main(argv=None) -> int:
