@@ -85,13 +85,7 @@ def _check_params(n_a: int, k: int, tau: int) -> None:
         raise ValueError(f"need 0 <= tau <= n_a-k-1 = {n_a - k - 1}, got tau={tau}")
 
 
-def mds_generator(
-    n_a: int,
-    k: int,
-    field: FieldSpec,
-    *,
-    rng: random.Random | None = None,
-) -> list[list[int]]:
+def mds_generator(n_a: int, k: int, field: FieldSpec) -> list[list[int]]:
     """Parity coefficients alpha of a systematic (n_a, k) MDS code.
 
     The systematic Reed-Solomon code on the n_a distinct nonzero points
@@ -106,7 +100,8 @@ def mds_generator(
     below k equals sum_l g(x_l) L_l, so g = z^e gives V_parity[e][j] =
     sum_l V_data[e][l] P[l][j], and V_data is invertible.  The differences
     are one array_sub, the products and quotients sums of their logs
-    (field.tables).  Checked by verify_mds.
+    (field.tables).  Checked by verify_mds through _verified_mds, so once
+    per alpha value per process, a check shared with spec loads.
     """
     if field.q < n_a + 1:
         raise ValueError(f"field order {field.q} too small for length {n_a}")
@@ -119,7 +114,7 @@ def mds_generator(
     num = diff[k:].sum(axis=1) - diff[k:].T  # log prod_{m != l} (x_{k+j} - x_m), (k, n_a - k)
     den = diff[:k].sum(axis=1, keepdims=True)  # log prod_{m != l} (x_l - x_m)
     alpha = exp[(num - den) % (field.q - 1)].tolist()
-    verify_mds(alpha, n_a, k, field, rng=rng)
+    _verified_mds(tuple(map(tuple, alpha)), n_a, k, field)
     return alpha
 
 
@@ -250,9 +245,10 @@ class ClassASpec:
 
 @functools.lru_cache(maxsize=16)  # a few codes per process, as for field tables
 def _verified_mds(alpha: tuple[tuple[int, ...], ...], n_a: int, k: int, field: FieldSpec) -> None:
-    """verify_mds, once per value: a caller that reloads its spec per
-    command (as the CLI does) checks it once.  A failed check raises, and
-    lru_cache never stores an exception."""
+    """verify_mds, once per value: a caller that rebuilds or reloads its
+    spec per command (as the CLI does) checks it once.  A failed check
+    raises, and lru_cache never stores an exception.  alpha does not depend
+    on tau, so verify_sweep's shapes need at most 12 entries."""
     verify_mds(alpha, n_a, k, field)
 
 

@@ -161,7 +161,10 @@ def cmd_repair_sim(args) -> int:
     traces = []
     for j in nodes:
         column, trace = repair_data_node(array, j, spec)
-        status = "ok" if column == array.symbols[:, j].tolist() else "MISMATCH"
+        if j in array.erased_nodes:  # no stored column to check the repair against
+            status = "not checked: erased in the array"
+        else:
+            status = "ok" if column == array.symbols[:, j].tolist() else "MISMATCH"
         print(f"node {j}: {trace.total} reads ({status})")
         traces.append(trace)
     lam = sum(t.total for t in traces) / len(traces) / spec.k

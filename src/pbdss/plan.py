@@ -22,7 +22,6 @@ plans.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
@@ -82,7 +81,13 @@ class ReadTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """json.dumps(self.to_json_dict()), byte for byte, written in one
+        pass: positions and counts are ints, so %d writes them as json does."""
+        return '{"reads": [%s], "perSymbol": {%s}, "total": %d}' % (
+            ", ".join(["[%d, %d]" % pos for pos in self.reads]),
+            ", ".join(['"%d:%d": %d' % (n, r, c) for (n, r), c in self.per_symbol.items()]),
+            self.total,
+        )
 
 
 @dataclass(frozen=True, slots=True)

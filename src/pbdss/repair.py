@@ -92,7 +92,16 @@ class CodeSpec:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """json.dumps(self.to_json_dict()), from the frozen tuples: json
+        writes a tuple as an array, so no nested list is rebuilt."""
+        f, a, b = self.field, self.class_a, self.class_b
+        return json.dumps({
+            "format": "PBDSS1",
+            "k": self.k,
+            "field": {"p": f.p, "m": f.m, "reduction": f.reduction},
+            "classA": {"nA": a.n_a, "tau": a.tau, "alpha": a.alpha},
+            "classB": {"nB": b.n_b, "construction": b.construction, "parities": b.parities},
+        })
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CodeSpec":

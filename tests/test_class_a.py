@@ -67,19 +67,50 @@ def test_mds_generator_matches_scalar_solves(monkeypatch):
     that is large enough: binary, prime and odd-p extension fields, whose
     differences take array_sub's Zech path, with no elimination.  The
     MDS check, which has tests of its own and takes seconds at k = 11, is
-    skipped here."""
+    skipped here, and the memo of checked alphas is cleared before and
+    after, so no later test meets an entry that was never checked."""
     monkeypatch.setattr(class_a, "verify_mds", lambda *args, **kwargs: None)
     monkeypatch.setattr(class_a, "eliminate", None)
     fields = [FieldSpec(7), FieldSpec(2, 3), FieldSpec(3, 2), FieldSpec(13), FieldSpec(23), FieldSpec(2, 5),
               FieldSpec(2, 8), FieldSpec(5, 2), FieldSpec(3, 3)]
     checked = 0
-    for k in range(3, 12):
-        for n_a in range(k + 2, 2 * k):
-            for f in fields:
-                if f.q >= n_a + 1:
-                    assert mds_generator(n_a, k, f) == _reference_alpha(n_a, k, f), (k, n_a, f)
-                    checked += 1
+    class_a._verified_mds.cache_clear()
+    try:
+        for k in range(3, 12):
+            for n_a in range(k + 2, 2 * k):
+                for f in fields:
+                    if f.q >= n_a + 1:
+                        assert mds_generator(n_a, k, f) == _reference_alpha(n_a, k, f), (k, n_a, f)
+                        checked += 1
+    finally:
+        class_a._verified_mds.cache_clear()
     assert checked >= 150
+
+
+def test_build_then_load_checks_alpha_once(gf9):
+    """A build checks its alpha through the memo that spec loads use: the
+    build misses, and a load of the same spec hits."""
+    class_a._verified_mds.cache_clear()
+    spec = CodeSpec.build(5, 8, 6, 1, field=gf9)
+    info = class_a._verified_mds.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    assert CodeSpec.from_json(spec.to_json()) == spec
+    info = class_a._verified_mds.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_corrupted_alpha_raises_on_every_load(gf8):
+    """lru_cache stores no exception, so a spec whose alpha fails the MDS
+    check is refused on every load, not only the first."""
+    doc = CodeSpec.build(5, 7, 8, 1, field=gf8).to_json_dict()
+    doc["classA"]["alpha"][2][1] = 0  # as in test_verify_mds_catches_corruption
+    text = json.dumps(doc)
+    before = class_a._verified_mds.cache_info()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="MDS check failed"):
+            CodeSpec.from_json(text)
+    after = class_a._verified_mds.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 3)
 
 
 def test_mds_generator_field_too_small(gf8):
@@ -219,6 +250,7 @@ def test_built_specs_are_pinned():
     for (k, n_a, n_b, tau, construction, field), want in SPEC_DIGESTS.items():
         spec = CodeSpec.build(k, n_a, n_b, tau, construction=construction, field=FieldSpec(*field))
         assert hashlib.sha256(spec.to_json().encode()).hexdigest() == want, (k, n_a, n_b, tau, field)
+        assert spec.to_json() == json.dumps(spec.to_json_dict())
     for (k, n_a, tau), want in CLASS_A_DIGESTS.items():
         text = json.dumps(ClassASpec.build(n_a, k, tau).to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == want, (k, n_a, tau)

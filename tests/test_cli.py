@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import operator
@@ -431,6 +432,38 @@ def test_trace_file_holds_one_trace_per_line(tmp_path, capsys):
     assert json.loads(text) == [t.to_json_dict() for t in traces]
     assert text.splitlines() == ["["] + [f"  {t.to_json()}," for t in traces[:-1]] + [
         f"  {traces[-1].to_json()}", "]"]
+
+
+def test_trace_file_is_pinned(tmp_path, capsys):
+    """The bytes of the (14,9) trace file over GF(13), by SHA-256: the
+    traces do not depend on the data, and the seed is fixed anyway."""
+    spec_path, arr_path, trace_path = tmp_path / "s.json", tmp_path / "a.bin", tmp_path / "t.json"
+    run(capsys, "construct", "--k", "9", "--n-a", "12", "--n-b", "11", "--tau", "2", "--out", str(spec_path))
+    run(capsys, "encode", "--spec", str(spec_path), "--seed", "23", "--out", str(arr_path))
+    code, _, _ = run(capsys, "repair-sim", "--spec", str(spec_path), "--array", str(arr_path),
+                     "--trace-out", str(trace_path))
+    assert code == 0
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == (
+        "4a21ff00088689d81bc9510bff532e148b3706581c39492b6d1d87bd7598d9bf")
+
+
+def test_masked_node_is_not_checked_against_its_stored_symbols(tmp_path, capsys):
+    """A node the array file marks as erased has no stored column to check
+    its repair against: its status says so, where it once read MISMATCH for
+    a correct repair of a column whose erased bytes had changed."""
+    spec_path, arr_path = _spec_and_array(tmp_path, capsys)
+    array = read_code_array(arr_path.read_bytes())
+    want = array.symbols[:, 0].tolist()
+    damaged = array.copy()
+    damaged.symbols[:, 0] = (damaged.symbols[:, 0] + 1) % damaged.field.q
+    damaged.erase_nodes([0])
+    arr_path.write_bytes(write_code_array(damaged))
+    code, out, _ = run(capsys, "repair-sim", "--spec", str(spec_path), "--array", str(arr_path))
+    assert code == 0
+    assert "node 0: 9 reads (not checked: erased in the array)" in out.splitlines()
+    assert "MISMATCH" not in out and out.count("(ok)") == 4
+    code, out, _ = run(capsys, "repair-sim", "--spec", str(spec_path), "--array", str(arr_path), "--nodes", "0")
+    assert code == 0 and f"  node 0: {want}" in out.splitlines()
 
 
 def test_node_and_nodes_are_exclusive(tmp_path, capsys):

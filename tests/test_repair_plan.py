@@ -13,12 +13,13 @@ logged while it was compiled.
 import dataclasses
 import functools
 import itertools
+import json
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pbdss.class_a import (
@@ -375,6 +376,36 @@ def test_rebuilt_traces_equal_the_session_logs(spec_10_5, spec_9_5):
             walk.reads, walk.cache, list(walk.per_symbol.items())), (code.n, code.k, node, lost)
         assert execute(plan, stored.symbols)[1] == trace
     assert {"decode", "row-mds", "sum", "mds-parity", "sum-parity"} <= kinds
+
+
+_POSITIONS = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reads=st.lists(_POSITIONS, max_size=64),
+       per_symbol=st.dictionaries(_POSITIONS, st.integers(0, 10**6), max_size=64))
+@example(reads=[], per_symbol={})
+@example(reads=[(0, 0)], per_symbol={(0, 0): 1})
+@example(reads=[(10**6, 10**6)], per_symbol={(10**6, 10**6): 10**6})
+def test_trace_json_is_the_json_module_dump(reads, per_symbol):
+    """ReadTrace.to_json, written in one pass, is json.dumps of its dict
+    byte for byte: empty traces, one read and many, with positions and
+    counts (ints, as a session stores) up to 10**6."""
+    trace = ReadTrace(reads, set(reads), per_symbol)
+    assert trace.to_json() == json.dumps(trace.to_json_dict())
+
+
+def test_plan_trace_json_is_the_json_module_dump():
+    """The same, on the trace of every data-node and parity-node plan of
+    the six stripe shapes."""
+    checked = 0
+    for shape in STRIPE_SHAPES:
+        code = _stripe_code(shape)
+        for node in range(code.n):
+            trace = repair_plan(code, node, ()).trace
+            assert trace.to_json() == json.dumps(trace.to_json_dict()), (shape, node)
+            checked += 1
+    assert checked == sum(_stripe_code(s).n for s in STRIPE_SHAPES)
 
 
 def test_execute_returns_independent_traces(spec_10_5):

@@ -14,6 +14,15 @@ each side, the change in the medians, the parent's interquartile range and
 how many pairs the change won (ties count for neither side), and the
 operations per run.  Each metric ends with its bound from BENCHMARK.json
 and a verdict (see `verdict`).
+
+    python3 tools/bench_pairs.py --summarise bench-records/x/runs.jsonl \
+        [--workload multi_failure] [--trace 0]
+
+runs nothing: it prints the same summary for the runs an existing file
+holds, or for those of one workload or trace setting.  Runs pair by
+(workload, trace, seed), and each (workload, trace) group is summarised
+on its own, so a file that mixes workloads, or traced and untraced runs,
+on the same seeds never pairs runs of different kinds.
 """
 
 from __future__ import annotations
@@ -74,12 +83,31 @@ def verdict(parent: list[float], change: list[float], bound: float, better: str)
     return "within bound"
 
 
-def summarise(runs: list[dict], metrics: list[dict]) -> None:
-    by_seed: dict[int, dict[str, dict]] = {}
+def paired(runs: list[dict]) -> dict[tuple[str, int], list[tuple[int, dict[str, dict]]]]:
+    """The complete parent/change pairs of `runs`, keyed by (workload,
+    trace, seed): for each (workload, trace), its (seed, {side: result})
+    pairs in seed order."""
+    by_key: dict[tuple[str, int, int], dict[str, dict]] = {}
     for run in runs:
         if run["result"] is not None:
-            by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]
-    pairs = [(seed, sides) for seed, sides in sorted(by_seed.items()) if len(sides) == 2]
+            by_key.setdefault((run["workload"], run["trace"], run["seed"]), {})[run["side"]] = run["result"]
+    groups: dict[tuple[str, int], list[tuple[int, dict[str, dict]]]] = {}
+    for (workload, trace, seed), sides in sorted(by_key.items()):
+        if len(sides) == 2:
+            groups.setdefault((workload, trace), []).append((seed, sides))
+    return groups
+
+
+def summarise(runs: list[dict], metrics: list[dict]) -> None:
+    """Print the summary of each (workload, trace) group of `runs`."""
+    groups = paired(runs)
+    for workload, trace in sorted({(run["workload"], run["trace"]) for run in runs}):
+        group = [r for r in runs if (r["workload"], r["trace"]) == (workload, trace)]
+        print(f"\n=== {workload}, trace {trace}")
+        _summarise_pairs(group, groups.get((workload, trace), []), metrics)
+
+
+def _summarise_pairs(runs: list[dict], pairs: list[tuple[int, dict[str, dict]]], metrics: list[dict]) -> None:
     failed = [r for r in runs if r["result"] is None or not r["result"]["correct"] or r["result"]["failed"]]
     print(f"{len(pairs)} complete pairs; {len(failed)} runs failed, incorrect or with failed operations")
     if not pairs:
@@ -89,6 +117,9 @@ def summarise(runs: list[dict], metrics: list[dict]) -> None:
         print(f"{side} operations per run: median {statistics.median(ops):g}, range {min(ops)}-{max(ops)}")
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        if any(name not in sides[side]["metrics"] for _, sides in pairs for side in SIDES):
+            print(f"\n{name}: not recorded in every run")  # older records predate some metrics
+            continue
         values = {side: [sides[side]["metrics"][name]["value"] for _, sides in pairs] for side in SIDES}
         print(f"\n{name} ({metric['unit']}, {metric['better']} is better)")
         for (seed, _), p, c in zip(pairs, values["parent"], values["change"]):
@@ -104,23 +135,35 @@ def summarise(runs: list[dict], metrics: list[dict]) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True, help="source tree of the parent commit")
-    parser.add_argument("--change", type=Path, required=True, help="source tree of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help="first-last, inclusive, e.g. 9101-9110")
+    parser.add_argument("--parent", type=Path, help="source tree of the parent commit")
+    parser.add_argument("--change", type=Path, help="source tree of the change")
+    parser.add_argument("--workload", help="the workload to run; with --summarise, the one to summarise")
+    parser.add_argument("--seeds", help="first-last, inclusive, e.g. 9101-9110")
     parser.add_argument("--seconds", type=float, default=25)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", type=Path, required=True, help="runs.jsonl to append to")
+    parser.add_argument("--trace", type=int, choices=(0, 1),
+                        help="perfbench --trace setting (default 0); with --summarise, the one to summarise")
+    parser.add_argument("--out", type=Path, help="runs.jsonl to append to")
+    parser.add_argument("--summarise", type=Path, metavar="FILE",
+                        help="summarise the runs of this runs.jsonl, and run nothing")
     args = parser.parse_args(argv)
+    benchmark = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    if args.summarise:
+        runs = [json.loads(line) for line in args.summarise.read_text().splitlines() if line.strip()]
+        runs = [r for r in runs if args.workload in (None, r["workload"]) and args.trace in (None, r["trace"])]
+        summarise(runs, benchmark["end_to_end"])
+        return 0
+    missing = [f"--{name}" for name in ("parent", "change", "workload", "seeds", "out") if getattr(args, name) is None]
+    if missing:
+        parser.error(f"without --summarise, the arguments {', '.join(missing)} are required")
+    trace = args.trace or 0
     first, _, last = args.seeds.partition("-")
     seeds = range(int(first), int(last or first) + 1)
-    benchmark = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     args.out.parent.mkdir(parents=True, exist_ok=True)
     runs = []
     for offset, seed in enumerate(seeds):
         for side in SIDES if offset % 2 == 0 else SIDES[::-1]:
-            run = run_once(trees[side], side, args.workload, seed, args.seconds, args.trace)
+            run = run_once(trees[side], side, args.workload, seed, args.seconds, trace)
             runs.append(run)
             with args.out.open("a") as fh:
                 fh.write(json.dumps(run) + "\n")
