@@ -233,7 +233,7 @@ class ClassASpec:
         return fault_tolerance(self.n_a, self.k, self.tau)
 
     def to_json_dict(self) -> dict:
-        return {"nA": self.n_a, "tau": self.tau, "alpha": [list(r) for r in self.alpha]}
+        return {"nA": self.n_a, "tau": self.tau, "alpha": self.alpha}
 
     @classmethod
     def from_json_dict(cls, d: dict, field: FieldSpec, k: int) -> "ClassASpec":

@@ -86,9 +86,7 @@ class ClassBSpec:
         return {
             "nB": self.n_b,
             "construction": self.construction,
-            "parities": [
-                [[list(pos) for pos in par] for par in node] for node in self.parities
-            ],
+            "parities": self.parities,
         }
 
     @classmethod

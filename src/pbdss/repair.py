@@ -86,22 +86,13 @@ class CodeSpec:
         return {
             "format": "PBDSS1",
             "k": self.k,
-            "field": {"p": f.p, "m": f.m, "reduction": list(f.reduction)},
+            "field": {"p": f.p, "m": f.m, "reduction": f.reduction},
             "classA": self.class_a.to_json_dict(),
             "classB": self.class_b.to_json_dict(),
         }
 
     def to_json(self) -> str:
-        """json.dumps(self.to_json_dict()), from the frozen tuples: json
-        writes a tuple as an array, so no nested list is rebuilt."""
-        f, a, b = self.field, self.class_a, self.class_b
-        return json.dumps({
-            "format": "PBDSS1",
-            "k": self.k,
-            "field": {"p": f.p, "m": f.m, "reduction": f.reduction},
-            "classA": {"nA": a.n_a, "tau": a.tau, "alpha": a.alpha},
-            "classB": {"nB": b.n_b, "construction": b.construction, "parities": b.parities},
-        })
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CodeSpec":

@@ -68,13 +68,19 @@ def test_pairs_key_by_workload_trace_and_seed():
 
 
 def test_summarise_an_existing_file(tmp_path, capsys):
+    # older records have no "trace" key; they were all untraced
+    untraced = [{k: v for k, v in _run(side, "gamma", 0, 1, 400.0).items() if k != "trace"}
+                for side in bench_pairs.SIDES]
     path = tmp_path / "runs.jsonl"
-    path.write_text("".join(json.dumps(run) + "\n" for run in MIXED))
+    path.write_text("".join(json.dumps(run) + "\n" for run in MIXED + untraced))
     assert bench_pairs.main(["--summarise", str(path)]) == 0
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if line.startswith("===")] == [
-        "=== alpha, trace 0", "=== alpha, trace 1", "=== beta, trace 0"]
+        "=== alpha, trace 0", "=== alpha, trace 1", "=== beta, trace 0", "=== gamma, trace 0"]
     assert "seed 1: parent 201  change 201.5" in out
+    assert bench_pairs.main(["--summarise", str(path), "--workload", "gamma", "--trace", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("1 complete pairs") == 1 and "seed 1: parent 400  change 400" in out
     assert bench_pairs.main(["--summarise", str(path), "--workload", "alpha", "--trace", "0"]) == 0
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if line.startswith("===")] == ["=== alpha, trace 0"]

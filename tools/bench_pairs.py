@@ -90,7 +90,7 @@ def paired(runs: list[dict]) -> dict[tuple[str, int], list[tuple[int, dict[str, 
     by_key: dict[tuple[str, int, int], dict[str, dict]] = {}
     for run in runs:
         if run["result"] is not None:
-            by_key.setdefault((run["workload"], run["trace"], run["seed"]), {})[run["side"]] = run["result"]
+            by_key.setdefault((run["workload"], run.get("trace", 0), run["seed"]), {})[run["side"]] = run["result"]
     groups: dict[tuple[str, int], list[tuple[int, dict[str, dict]]]] = {}
     for (workload, trace, seed), sides in sorted(by_key.items()):
         if len(sides) == 2:
@@ -101,8 +101,8 @@ def paired(runs: list[dict]) -> dict[tuple[str, int], list[tuple[int, dict[str, 
 def summarise(runs: list[dict], metrics: list[dict]) -> None:
     """Print the summary of each (workload, trace) group of `runs`."""
     groups = paired(runs)
-    for workload, trace in sorted({(run["workload"], run["trace"]) for run in runs}):
-        group = [r for r in runs if (r["workload"], r["trace"]) == (workload, trace)]
+    for workload, trace in sorted({(run["workload"], run.get("trace", 0)) for run in runs}):
+        group = [r for r in runs if (r["workload"], r.get("trace", 0)) == (workload, trace)]
         print(f"\n=== {workload}, trace {trace}")
         _summarise_pairs(group, groups.get((workload, trace), []), metrics)
 
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
     if args.summarise:
         runs = [json.loads(line) for line in args.summarise.read_text().splitlines() if line.strip()]
-        runs = [r for r in runs if args.workload in (None, r["workload"]) and args.trace in (None, r["trace"])]
+        runs = [r for r in runs if args.workload in (None, r["workload"]) and args.trace in (None, r.get("trace", 0))]
         summarise(runs, benchmark["end_to_end"])
         return 0
     missing = [f"--{name}" for name in ("parent", "change", "workload", "seeds", "out") if getattr(args, name) is None]
