@@ -46,15 +46,11 @@ def xi_threshold(n_a: int, k: int, tau: int) -> float:
     return (math.sqrt(d * d + 4 * k) - d) / 2
 
 
-def psi(tau_prime: int, n_a: int, k: int, tau: int) -> int:
-    return tau_prime * tau_prime + (n_a - k - tau) * tau_prime - k
-
-
 def fault_tolerance(n_a: int, k: int, tau: int) -> FaultToleranceReport:
     """The paper's guaranteed fault tolerance f of an (n_a, k, tau) code.
 
     f = n_a - k when tau < xi, else n_a - k - tau + floor(xi), with xi the
-    positive root of psi.  Exhaustive maximum-likelihood search confirms
+    positive root of psi(t) = t^2 + (n_a - k - tau) t - k.  Exhaustive maximum-likelihood search confirms
     that the codes ClassASpec.build makes meet f on every shape of the
     acceptance sweep (4 <= k <= 8, n_a <= k + 4).  f is a guarantee, not
     the exact tolerance: that depends on the MDS coefficients alpha and may
@@ -127,13 +123,7 @@ def _combinations(n: int, s: int) -> np.ndarray:
     return combos
 
 
-def verify_mds(
-    alpha: list[list[int]],
-    n_a: int,
-    k: int,
-    field: FieldSpec,
-    rng: random.Random | None = None,
-) -> None:
+def verify_mds(alpha: list[list[int]], n_a: int, k: int, field: FieldSpec) -> None:
     """Check every k x k submatrix of [I | alpha]^T is invertible.
 
     Columns D + P of [I | alpha], D data and P parity, are independent iff
@@ -143,8 +133,8 @@ def verify_mds(
     checked, gathered through the combination tables of _combinations: s
     ascending, then row combinations, then column combinations, each in
     itertools.combinations order.  (A size's stack then holds under 10**6
-    entries.)  Beyond the limit, RANDOM_SUBMATRIX_TRIALS seeded draws of a
-    k-subset are checked, by minor size in the order each size is first
+    entries.)  Beyond the limit, RANDOM_SUBMATRIX_TRIALS draws of a
+    k-subset, from random.Random(0), are checked, by minor size in the order each size is first
     drawn, then in draw order.  The first singular minor in that order is
     named.  Failure indicates a bad reduction polynomial or a broken
     generator, so it raises rather than returning a flag.
@@ -160,7 +150,7 @@ def verify_mds(
             if t is not None:
                 raise _singular(k, rows[t // len(cols)], cols[t % len(cols)])
         return
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     drawn = np.zeros((RANDOM_SUBMATRIX_TRIALS, n_a), dtype=bool)
     for i in range(RANDOM_SUBMATRIX_TRIALS):
         drawn[i, rng.sample(range(n_a), k)] = True

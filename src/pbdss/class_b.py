@@ -15,7 +15,6 @@ steers the selection and is refreshed after every node.
 from __future__ import annotations
 
 import logging
-import random
 from dataclasses import dataclass
 from math import inf
 
@@ -179,9 +178,7 @@ def update_read_cost(a: ReadCostMatrix, node_parities, k: int, tau: int) -> Read
     out = [row[:] for row in a]
     for par in node_parities:
         for pos in par:
-            if pos == SENTINEL:
-                continue
-            c = read_cost(pos, [p for p in par if p != SENTINEL], k, tau)
+            c = read_cost(pos, par, k, tau)
             if c < out[pos[0]][pos[1]]:
                 out[pos[0]][pos[1]] = float(c)
     return out
@@ -203,11 +200,6 @@ def update_read_cost(a: ReadCostMatrix, node_parities, k: int, tau: int) -> Read
 #     measurably worsens the resulting codes);
 #   * a parity is complete once it holds rho_l entries, sentinels
 #     included; sentinels never enter the stored parity.
-
-
-def _wrap_order(positions, items):
-    order = {pos: idx for idx, pos in enumerate(positions)}
-    return sorted(items, key=lambda p: order[p])
 
 
 class _NodeBuilder:
@@ -280,7 +272,7 @@ class _NodeBuilder:
     def _guard_passing(self, t: int, j: int) -> list[Position]:
         """Free X_j symbols whose cost would strictly improve in this parity."""
         out = []
-        for pos in _wrap_order(self.x_sets[j], self._free_x(j)):
+        for pos in self._free_x(j):
             jj, i = pos
             if self.a[jj][i] > 1 and read_cost(
                 pos, self.parities[t] + [pos], self.k, self.tau
@@ -332,13 +324,7 @@ def construct_node_heuristic(
     return builder.result()
 
 
-def construct_last_node(
-    a: ReadCostMatrix,
-    used_q: set[Position],
-    k: int,
-    tau: int,
-    rng: random.Random | None = None,
-):
+def construct_last_node(a: ReadCostMatrix, used_q: set[Position], k: int, tau: int):
     """Single-symbol parities from the costliest still-uncovered positions."""
     all_q = [p for j in range(k) for p in q_set(j, k, tau)]
     remaining = [p for p in all_q if p not in used_q]
@@ -347,8 +333,7 @@ def construct_last_node(
         if not remaining:
             node.append(())
             continue
-        best = psi_argmax(a, remaining)
-        pick = rng.choice(best) if rng is not None else best[0]
+        pick = psi_argmax(a, remaining)[0]
         remaining.remove(pick)
         node.append((pick,))
     if any(not par for par in node):
@@ -357,13 +342,7 @@ def construct_last_node(
     return tuple(node)
 
 
-def construct2_parities(
-    k: int,
-    n_a: int,
-    n_b: int,
-    tau: int,
-    rng: random.Random | None = None,
-) -> ClassBSpec:
+def construct2_parities(k: int, n_a: int, n_b: int, tau: int) -> ClassBSpec:
     """Heuristic construction; falls back to the closed form when it does
     not apply (odd k, or k < 2(tau+1))."""
     _check_b_params(k, n_a, n_b, tau)
@@ -381,7 +360,7 @@ def construct2_parities(
         elif rho > 1:
             node = construct_node_heuristic(a, rho, used_q, k, tau)
         else:
-            node = construct_last_node(a, used_q, k, tau, rng=rng)
+            node = construct_last_node(a, used_q, k, tau)
         used_q.update(par[0] for par in node if par)
         a = update_read_cost(a, node, k, tau)
         nodes.append(node)

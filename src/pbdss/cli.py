@@ -189,7 +189,7 @@ def cmd_parity_sim(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    rows = metrics.table2_rows(args.seed) if args.table == 2 else metrics.table3_rows(args.seed)
+    rows = metrics.table2_rows() if args.table == 2 else metrics.table3_rows()
     text = json.dumps(rows, indent=2) if args.format == "json" else metrics.rows_to_csv(rows)
     if args.out:
         _write_file(args.out, text.encode())
@@ -204,6 +204,9 @@ def cmd_verify(args) -> int:
     # the sweep starts at k = 4, so a smaller --max-k would check nothing and pass
     if args.max_k < 4:
         raise ValueError(f"--max-k must be at least 4, got {args.max_k}")
+    if args.max_k + 4 > oracle.EXHAUSTIVE_MAX_N:  # checked before any search, so no result is lost
+        raise ValueError(f"--max-k must be at most {oracle.EXHAUSTIVE_MAX_N - 4}, got {args.max_k}: the sweep "
+                         f"reaches n_a = k + 4, and exhaustive search is capped at n <= {oracle.EXHAUSTIVE_MAX_N}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     failures = []
@@ -303,7 +306,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = commands["tables"] = sub.add_parser("tables", help="emit benchmark table rows")
     p.add_argument("--table", type=int, choices=(2, 3), required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tables)
 

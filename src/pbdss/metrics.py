@@ -5,27 +5,28 @@ costs nu bit operations and one multiplication nu^2, with nu the symbol
 size in bits.  The closed forms evaluate the asymptotic expressions as
 exact operation counts, which is how the reference tables were produced;
 for the sequential construction the repair/encode counts are exact, for
-the heuristic they are upper bounds.
+the heuristic they are upper bounds.  The measured figures are read off
+the compiled repair and encode plans (repair.repair_plan): their read
+traces and the operation totals of their stages, with no data.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, asdict
 
+from .class_a import _interned
 from .gf import FieldSpec
-from .layout import DataArray
-from .repair import CodeSpec, encode, repair_data_node
+from .repair import CodeSpec, repair_plan
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpCounter:
-    """Field-operation tally; convertible to bit operations."""
+    """A plan's field-operation totals; convertible to bit operations."""
 
-    adds: int = 0
-    muls: int = 0
+    adds: int
+    muls: int
 
     def bit_ops(self, nu: int) -> int:
         return self.adds * nu + self.muls * nu * nu
@@ -120,45 +121,41 @@ def formula_bundle(n: int, k: int, n_a: int, tau: int, field: FieldSpec) -> Cost
     )
 
 
-def measured_lambda(spec: CodeSpec, seed: int = 0):
-    """Average reads per repaired node over all data nodes, normalized by k.
-
-    Uses random data under a fixed seed; read counts are structural, so
-    the data content never changes the result.
-    """
-    rng = random.Random(seed)
-    data = DataArray.random(spec.field, spec.k, rng)
-    array = encode(spec, data)
-    traces = [repair_data_node(array, j, spec)[1] for j in range(spec.k)]
+def measured_lambda(spec: CodeSpec):
+    """Average reads per repaired node over all data nodes, normalized by k,
+    and each data node's read trace (a copy of its plan's, as
+    plan.execute returns it).  Read counts are structural: they are read
+    off the compiled plans, with no data."""
+    code = _interned(spec)
+    traces = [repair_plan(code, j, ()).trace.copy() for j in range(spec.k)]
     lam = sum(t.total for t in traces) / spec.k / spec.k
     return lam, traces
 
 
-def measured_complexity(spec: CodeSpec, seed: int = 0) -> dict:
-    """Instrumented bit-operation counts for encode and per-node repair."""
-    rng = random.Random(seed)
-    data = DataArray.random(spec.field, spec.k, rng)
-    nu = spec.field.bits
-    enc_counter = OpCounter()
-    array = encode(spec, data, enc_counter)
-    repair_totals = []
-    for j in range(spec.k):
-        counter = OpCounter()
-        repair_data_node(array, j, spec, counter)
-        repair_totals.append(counter.bit_ops(nu))
+def measured_complexity(spec: CodeSpec) -> dict:
+    """Bit-operation counts of encode and of each data-node repair: the
+    totals of the compiled plans' stages."""
+    code, nu = _interned(spec), spec.field.bits
+
+    def bit_ops(node: int | None) -> int:
+        plan = repair_plan(code, node, ())
+        return OpCounter(plan.adds, plan.muls).bit_ops(nu)
+
+    encode_bits = bit_ops(None)
+    repair_totals = [bit_ops(j) for j in range(spec.k)]
     avg_repair = sum(repair_totals) / spec.k
     return {
-        "encode_bit_ops_total": enc_counter.bit_ops(nu),
-        "encode_bit_ops_per_row": enc_counter.bit_ops(nu) / spec.k,
+        "encode_bit_ops_total": encode_bits,
+        "encode_bit_ops_per_row": encode_bits / spec.k,
         "repair_bit_ops_per_node": repair_totals,
         "repair_bit_ops_avg": avg_repair,
         "repair_bit_ops_normalized": avg_repair / spec.k,
     }
 
 
-def fill_measurements(report: CostReport, spec: CodeSpec, seed: int = 0) -> CostReport:
-    lam, _ = measured_lambda(spec, seed)
-    meas = measured_complexity(spec, seed)
+def fill_measurements(report: CostReport, spec: CodeSpec) -> CostReport:
+    lam, _ = measured_lambda(spec)
+    meas = measured_complexity(spec)
     report.measured_lambda = lam
     report.measured_repair_ops = meas["repair_bit_ops_avg"]
     report.measured_encode_ops = meas["encode_bit_ops_per_row"]
@@ -242,7 +239,7 @@ def table1_row(family: str, params: dict) -> dict:
     if family == "proposed":
         spec = params["spec"]
         report = formula_bundle(spec.n, spec.k, spec.n_a, spec.tau, spec.field)
-        lam, _ = measured_lambda(spec, params.get("seed", 0))
+        lam, _ = measured_lambda(spec)
         return {
             "family": "proposed",
             "beta": spec.k,
@@ -285,13 +282,13 @@ def basic_pm_mbr_row(n: int, k: int, delta: int, m: int) -> dict:
     }
 
 
-def table2_rows(seed: int = 0) -> list[dict]:
+def table2_rows() -> list[dict]:
     out = []
     for row in TABLE2_ROWS:
         n, k, n_a, tau = row["n"], row["k"], row["n_a"], row["tau"]
         spec = CodeSpec.build(k, n_a, n - n_a + k, tau)
         report = formula_bundle(n, k, n_a, tau, spec.field)
-        lam, _ = measured_lambda(spec, seed)
+        lam, _ = measured_lambda(spec)
         bn, bk, bf = row["basic"]
         basic = basic_pm_mbr_row(bn, bk, row["delta_b"], row["m_b"])
         out.append(
@@ -314,14 +311,14 @@ def table2_rows(seed: int = 0) -> list[dict]:
     return out
 
 
-def table3_rows(seed: int = 0) -> list[dict]:
+def table3_rows() -> list[dict]:
     out = []
     for row in TABLE3_ROWS:
         n, k, n_a, tau = row["n"], row["k"], row["n_a"], row["tau"]
         lam = {}
         for construction in (1, 2):
             spec = CodeSpec.build(k, n_a, n - n_a + k, tau, construction=construction)
-            lam[construction], _ = measured_lambda(spec, seed)
+            lam[construction], _ = measured_lambda(spec)
         improvement = (lam[1] - lam[2]) / lam[1] * 100
         out.append(
             {

@@ -31,6 +31,9 @@ from .class_a import ClassASpec
 from .gf import batch_rank, eliminate, pivot_step, rank_batch_len
 from .repair import CodeSpec
 
+# The longest code the exhaustive fault-tolerance search takes.
+EXHAUSTIVE_MAX_N = 16
+
 
 def generator_rows(code) -> list[list[np.ndarray]]:
     """Per-node, per-row coefficient vectors over the k^2 data symbols.
@@ -168,8 +171,8 @@ def brute_force_fault_tolerance(code, processes: int = 1, max_t: int | None = No
     never more than the CPUs this process may run on.
     """
     n = code.n_a if isinstance(code, ClassASpec) else code.n
-    if n > 16:
-        raise ValueError("exhaustive search capped at n <= 16")
+    if n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive search capped at n <= {EXHAUSTIVE_MAX_N}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     processes = min(processes, cpus)
     forms = _parity_forms(code)
@@ -282,18 +285,14 @@ def min_read_repair(code, j: int) -> int:
 def _schedule_reads(code, j: int, nodes, target: np.ndarray) -> int:
     """Read count of the repair schedule of data node j, checked.
 
-    The schedule is only trusted as far as one rank check goes: its reads
-    must avoid node j and determine column j: adding the target rows must
-    not raise the rank of their forms.
+    The reads are those of node j's compiled plan.  The schedule is only
+    trusted as far as one rank check goes: its reads must avoid node j and
+    determine column j: adding the target rows must not raise the rank of
+    their forms.
     """
-    import random
+    from .repair import repair_plan
 
-    from .layout import DataArray
-    from .repair import encode, repair_data_node
-
-    data = DataArray.random(code.field, code.k, random.Random(0))
-    _, trace = repair_data_node(encode(code, data), j, code)
-    reads = list(trace.reads)
+    reads = repair_plan(code, j, ()).reads
     forms = np.array([nodes[c][i] for c, i in reads], dtype=np.int64).reshape(-1, code.k**2)
     mats = np.stack([np.concatenate([forms, np.zeros_like(target)]), np.concatenate([forms, target])])
     low, high = batch_rank(code.field, mats).tolist()

@@ -13,9 +13,9 @@ one log lookup, one add and one exp lookup per term and one segment sum
 per output, so its work follows the nonzero terms that the paper's
 repair complexity counts, not the size of the matrix; every plan runs
 through it.  `execute` replays a repair session: it also returns a copy
-of the session's read trace, which the plan holds prebuilt, and adds the
-field-operation counts that the plan's stages recorded at compile time
-to the caller's counter.  Nothing here knows the schedules that build
+of the session's read trace, which the plan holds prebuilt.  The
+field-operation counts are the plan's `adds` and `muls`, totalled from
+its stages when it is built.  Nothing here knows the schedules that build
 plans.
 """
 
@@ -238,14 +238,10 @@ def _lanes(field: FieldSpec, terms: Terms, values: np.ndarray) -> np.ndarray:
     return _add_reduce(field, exp[log.take(values) + logs], 0, terms.starts)
 
 
-def execute(plan: RepairPlan, stored: np.ndarray, counter=None) -> tuple[np.ndarray, ReadTrace]:
+def execute(plan: RepairPlan, stored: np.ndarray) -> tuple[np.ndarray, ReadTrace]:
     """Replay a single-node repair session: its outputs and a copy of the
-    read trace the plan holds; the counts of its stages are added to
-    `counter`."""
+    read trace the plan holds."""
     out = replay(plan, stored)
     if plan.trace is None:
         raise ValueError("only a single-node repair plan carries a read trace")
-    if counter is not None:
-        counter.adds += plan.adds
-        counter.muls += plan.muls
     return out, plan.trace.copy()

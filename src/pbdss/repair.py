@@ -144,11 +144,11 @@ def _check_json(value, schema, where: str) -> None:
         raise ValueError(f"spec JSON: {where!r} must be an integer, got {type(value).__name__}")
 
 
-def encode(spec: CodeSpec, data: DataArray, counter=None) -> CodeArray:
+def encode(spec: CodeSpec, data: DataArray) -> CodeArray:
     """Systematic columns, then MDS/piggyback parities, then sum parities.
 
     Replays the encode plan, every parity symbol from the data, and builds
-    no read trace; the plan's operation totals go to `counter`.
+    no read trace; its operation counts are that plan's totals.
     """
     if data.field != spec.field:
         raise ValueError("data array and spec use different fields")
@@ -159,9 +159,6 @@ def encode(spec: CodeSpec, data: DataArray, counter=None) -> CodeArray:
     symbols = np.empty((k, n), dtype=np.uint16)
     symbols[:, :k] = data.symbols
     symbols[:, k:] = replay(plan, data.symbols).reshape(n - k, k).T
-    if counter is not None:
-        counter.adds += plan.adds
-        counter.muls += plan.muls
     symbols.flags.writeable = False
     return CodeArray._wrap(spec.field, symbols)
 
@@ -356,13 +353,13 @@ def repair_plan(code: CodeSpec, node: int | None, erased: tuple[int, ...]) -> Re
     return session.plan(traced=node is not None)
 
 
-def _repair(array: CodeArray, node: int, spec: CodeSpec, counter):
+def _repair(array: CodeArray, node: int, spec: CodeSpec):
     erased = tuple(x for x in array.erased_nodes if x != node and x < spec.n)  # a wider array may be masked past n
-    values, trace = execute(repair_plan(_interned(spec), node, erased), array.symbols, counter)
+    values, trace = execute(repair_plan(_interned(spec), node, erased), array.symbols)
     return values.tolist(), trace
 
 
-def repair_data_node(array: CodeArray, j: int, spec: CodeSpec, counter=None):
+def repair_data_node(array: CodeArray, j: int, spec: CodeSpec):
     """Repair data node j with the two-stage schedule.
 
     Stage one reads row j and tau+1 of the MDS/piggyback parities,
@@ -374,14 +371,14 @@ def repair_data_node(array: CodeArray, j: int, spec: CodeSpec, counter=None):
 
     Every other node with a masked symbol counts as erased, and is never
     read (see repair_plan).  Returns the column and the ReadTrace; the
-    field-operation counts of the plan's stages go to `counter`.
+    field-operation counts are the plan's totals.
     """
     if not 0 <= j < spec.k:
         raise ValueError(f"data node index {j} out of range")
-    return _repair(array, j, spec, counter)
+    return _repair(array, j, spec)
 
 
-def repair_parity_node(array: CodeArray, node: int, spec: CodeSpec, counter=None):
+def repair_parity_node(array: CodeArray, node: int, spec: CodeSpec):
     """Repair one parity node, each symbol as an independent download.
 
     Per-symbol read counts follow the node class: k for a plain MDS
@@ -391,7 +388,7 @@ def repair_parity_node(array: CodeArray, node: int, spec: CodeSpec, counter=None
     """
     if not spec.k <= node < spec.n:
         raise ValueError(f"parity node index {node} out of range")
-    return _repair(array, node, spec, counter)
+    return _repair(array, node, spec)
 
 
 def repair_multi(array: CodeArray, failed, spec: CodeSpec):

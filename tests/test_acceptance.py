@@ -16,12 +16,12 @@ import time
 
 import pytest
 
-from pbdss.class_a import ClassASpec, encode_class_a, fault_tolerance
+from pbdss.class_a import ClassASpec, _interned, encode_class_a, fault_tolerance
 from pbdss.class_b import construct1_parities, construct2_parities
 from pbdss.layout import DataArray
 from pbdss.metrics import OpCounter, formula_bundle, measured_lambda, table1_row
 from pbdss.oracle import brute_force_fault_tolerance, min_read_repair
-from pbdss.repair import CodeSpec, encode, puncture, repair_data_node, repair_multi
+from pbdss.repair import CodeSpec, encode, puncture, repair_data_node, repair_multi, repair_plan
 
 PROCESSES = 2
 
@@ -288,10 +288,10 @@ def test_criterion_6_bound_and_exact_counters(sweep_class_a):
             nu = spec.field.bits
             total = 0
             for j in range(k):
-                counter = OpCounter()
-                _, trace = repair_data_node(array, j, spec, counter)
+                _, trace = repair_data_node(array, j, spec)
                 total += trace.total
-                assert counter.bit_ops(nu) == report.repair_ops, (k, n_a, n_b, tau, j)
+                plan = repair_plan(_interned(spec), j, ())
+                assert OpCounter(plan.adds, plan.muls).bit_ops(nu) == report.repair_ops, (k, n_a, n_b, tau, j)
             lam = total / k / k
             assert lam <= report.lambda_bound + 1e-9, (k, n_a, n_b, tau)
             checked += 1

@@ -1,4 +1,3 @@
-import random
 from math import inf
 
 import pytest
@@ -175,15 +174,15 @@ def test_construct_last_node_single_candidate_and_short():
     assert all(par == () for par in node[1:])  # short node, padded empty
 
 
-def test_construct_last_node_deterministic_vs_seeded():
+def test_construct_last_node_deterministic():
     k, tau = 4, 1
     a = init_read_cost(k, tau)
     node = construct_last_node(a, set(), k, tau)
     assert node[0] == ((0, 1),)  # row-major lowest among the tied maxima
     all_q = {p for j in range(k) for p in q_set(j, k, tau)}
-    rng_node = construct_last_node(a, set(), k, tau, rng=random.Random(9))
-    picks = [par[0] for par in rng_node]
+    picks = [par[0] for par in node]
     assert len(set(picks)) == k and set(picks) <= all_q
+    assert construct_last_node(a, set(), k, tau) == node
 
 
 def test_construct2_delegates_for_odd_k():

@@ -447,6 +447,20 @@ def test_trace_file_is_pinned(tmp_path, capsys):
         "4a21ff00088689d81bc9510bff532e148b3706581c39492b6d1d87bd7598d9bf")
 
 
+@pytest.mark.parametrize("table,fmt,digest", [
+    ("2", "csv", "439d4ee424d5539bd161decc9bfa0bf07dcdae2f4b37e6517205dfe79caa6cee"),
+    ("2", "json", "e81b7a1b163a55f97a1516bcf7f4b0eddf3a78ee8abf0ac8fd5ee5647c992251"),
+    ("3", "csv", "e82b4b6419f643a9e3b1b090af7f3dacd4de672fe079083ed02f0bfc27ea68da"),
+    ("3", "json", "a50bc1cdbc495058674aac2a540db039b7cc4db53a6f1b302910d5dce3248ac8"),
+])
+def test_tables_are_pinned(capsys, table, fmt, digest):
+    """The bytes `tables` prints, by SHA-256: its lambda and bit-op figures
+    are read off the compiled plans, and take no seed."""
+    code, out, _ = run(capsys, "tables", "--table", table, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_masked_node_is_not_checked_against_its_stored_symbols(tmp_path, capsys):
     """A node the array file marks as erased has no stored column to check
     its repair against: its status says so, where it once read MISMATCH for
@@ -557,7 +571,7 @@ PARSE_ARGVS = [
     ["parity-sim", "--sp", "s", "--se", "x"],
     ["tables", "--help"], ["tables"], ["tables", "--table", "x"], ["tables", "--table", "4"],
     ["tables", "--table", "2", "--format", "xml"], ["tables", "--table", "2", "--bogus"],
-    ["tables", "--table", "2", "extra"], ["tables", "--tab", "4"],
+    ["tables", "--table", "2", "extra"], ["tables", "--tab", "4"], ["tables", "--table", "2", "--seed", "1"],
     ["verify", "--help"], ["verify", "--max-k", "x"], ["verify", "--bogus"], ["verify", "extra"],
     ["verify", "--j", "x"], ["verify", "--quick=1"],
 ]
@@ -612,6 +626,8 @@ def test_entry_point_pipeline(tmp_path):
     (["verify", "--max-k", "-1", "--quick"], "--max-k must be at least 4, got -1"),
     (["verify", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["verify", "--quick", "--jobs", "-2"], "--jobs must be at least 1, got -2"),
+    (["verify", "--max-k", "13"], "--max-k must be at most 12, got 13: the sweep reaches n_a = k + 4, "
+                                  "and exhaustive search is capped at n <= 16"),
 ])
 def test_input_faults_exit_2(tmp_path, capsys, argv, message):
     """Node indices past n, directories where files belong and JSON nested

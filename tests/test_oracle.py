@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -346,16 +347,17 @@ def test_min_read_matches_exhaustive_enumeration(field, n_b, expected, monkeypat
     loosest bound too: a schedule that reads every symbol it may."""
     code = CodeSpec.build(3, 5, n_b, 1, field=field)
     mins = [min_read_repair(code, j) for j in range(3)]
-    real = repair.repair_data_node
+    real, consulted = repair.repair_plan, []
 
-    def reads_everything(array, j, spec, counter=None):
-        column, trace = real(array, j, spec, counter)
-        trace.reads = [(c, i) for c in range(spec.n) if c != j for i in range(spec.k)]
-        return column, trace
+    def reads_everything(spec, j, erased):
+        consulted.append(j)
+        reads = tuple((c, i) for c in range(spec.n) if c != j for i in range(spec.k))
+        return dataclasses.replace(real(spec, j, erased), reads=reads)
 
-    monkeypatch.setattr(repair, "repair_data_node", reads_everything)
+    monkeypatch.setattr(repair, "repair_plan", reads_everything)
     for j in range(3):
         assert mins[j] == min_read_repair(code, j) == _fewest_reads(code, j) == expected
+    assert consulted == [0, 1, 2]
 
 
 @pytest.mark.parametrize("fault", ["drops a read", "reads the lost node"])
@@ -363,20 +365,19 @@ def test_min_read_checks_the_schedule_it_starts_from(spec_7_4_h, monkeypatch, fa
     """The schedule's reads bound the search only once a rank check shows
     they determine the column: under-reported reads used to come back as
     the minimum (6 here, against 7)."""
-    real = repair.repair_data_node
+    real, consulted = repair.repair_plan, []
 
-    def faulty(array, j, spec, counter=None):
-        column, trace = real(array, j, spec, counter)
-        if fault == "drops a read":
-            trace.reads.pop()
-        else:
-            trace.reads[-1] = (j, 0)
-        return column, trace
+    def faulty(spec, j, erased):
+        consulted.append(j)
+        plan = real(spec, j, erased)
+        reads = plan.reads[:-1] if fault == "drops a read" else (*plan.reads[:-1], (j, 0))
+        return dataclasses.replace(plan, reads=reads)
 
     assert min_read_repair(spec_7_4_h, 0) == 7
-    monkeypatch.setattr(repair, "repair_data_node", faulty)
+    monkeypatch.setattr(repair, "repair_plan", faulty)
     with pytest.raises(ValueError, match="do not determine column 0"):
         min_read_repair(spec_7_4_h, 0)
+    assert consulted == [0]
 
 
 def test_min_read_size_cap():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pbdss.class_a import ClassASpec, UnrecoverableErasureError
+from pbdss.class_a import ClassASpec, UnrecoverableErasureError, _interned
 from pbdss.class_b import construct1_parities
 from pbdss.gf import FieldSpec
 from pbdss.layout import DataArray, q_set
@@ -18,6 +18,7 @@ from pbdss.repair import (
     repair_data_node,
     repair_multi,
     repair_parity_node,
+    repair_plan,
 )
 
 
@@ -202,11 +203,9 @@ def test_bandwidth_bound_sweep():
 
 def test_repair_counter_matches_formula_for_construction1(spec_9_5):
     report = formula_bundle(9, 5, 8, 1, spec_9_5.field)
-    _, arr = fresh_array(spec_9_5)
     for j in range(5):
-        counter = OpCounter()
-        repair_data_node(arr, j, spec_9_5, counter)
-        assert counter.bit_ops(spec_9_5.field.bits) == report.repair_ops
+        plan = repair_plan(_interned(spec_9_5), j, ())
+        assert OpCounter(plan.adds, plan.muls).bit_ops(spec_9_5.field.bits) == report.repair_ops
 
 
 def test_codespec_json_roundtrip(spec_10_5, tmp_path):
@@ -254,10 +253,9 @@ def test_remark1_same_lambda_fewer_adds():
     variant = CodeSpec.build(5, 7, 8, 1, remark1=True)
     rng = random.Random(14)
     data = DataArray.random(base.field, 5, rng)
-    c_base, c_var = OpCounter(), OpCounter()
-    arr_base = encode(base, data, c_base)
-    arr_var = encode(variant, data, c_var)
-    assert c_var.adds < c_base.adds
+    arr_base = encode(base, data)
+    arr_var = encode(variant, data)
+    assert repair_plan(_interned(variant), None, ()).adds < repair_plan(_interned(base), None, ()).adds
     t_base = sum(repair_data_node(arr_base, j, base)[1].total for j in range(5))
     t_var = sum(repair_data_node(arr_var, j, variant)[1].total for j in range(5))
     assert t_base == t_var

@@ -33,7 +33,7 @@ from pbdss.class_a import (
 from pbdss.class_b import construct1_parities, construct2_parities
 from pbdss.gf import FieldSpec
 from pbdss.layout import CodeArray, DataArray
-from pbdss.metrics import OpCounter
+from pbdss.metrics import measured_complexity, measured_lambda
 from pbdss.oracle import ml_decodable
 from pbdss.plan import ReadTrace, RepairPlan, execute, replay
 from pbdss.repair import (
@@ -47,9 +47,9 @@ from pbdss.repair import (
 )
 
 
-def _repair(array, node, code, counter=None):
+def _repair(array, node, code):
     fn = repair_data_node if node < code.k else repair_parity_node
-    return fn(array, node, code, counter)
+    return fn(array, node, code)
 
 
 def _masked(code, stored, lost, rng):
@@ -117,14 +117,13 @@ def test_masked_neighbour_escalates_to_decode(spec_10_5):
     array.erase_nodes([0, 1])
     for row in array.rows:
         row[0] = row[1] = 0
-    counter = OpCounter()
-    column, trace = repair_data_node(array, 0, spec_10_5, counter)
+    column, trace = repair_data_node(array, 0, spec_10_5)
     assert column == [row[0] for row in data.rows]
     assert all(node not in (0, 1) for node, _ in trace.reads)
     plan = repair_plan(_interned(spec_10_5), 0, (1,))
     assert {s.kind for s in plan.stages} == {"decode"}
     counts = (sum(s.adds for s in plan.stages), sum(s.muls for s in plan.stages))
-    assert (counter.adds, counter.muls) == counts != (0, 0)
+    assert (plan.adds, plan.muls) == counts != (0, 0)
     array.erase_nodes([2])  # three data nodes of a code with f = 2
     with pytest.raises(UnrecoverableErasureError) as exc:
         repair_data_node(array, 0, spec_10_5)
@@ -408,6 +407,35 @@ def test_plan_trace_json_is_the_json_module_dump():
     assert checked == sum(_stripe_code(s).n for s in STRIPE_SHAPES)
 
 
+def test_measured_figures_equal_executed_repairs():
+    """measured_lambda and measured_complexity read the compiled plans, with
+    no data.  Every data-node and parity-node repair of the six stripe
+    shapes, over two random arrays, returns its plan's trace, which for a
+    data node is measured_lambda's; the bit-op figures are the sums of the
+    plans' stage counts."""
+    for shape in STRIPE_SHAPES:
+        code = _stripe_code(shape)
+        nu = code.field.bits
+        lam, traces = measured_lambda(code)
+        plans = [repair_plan(code, node, ()) for node in range(code.n)]
+        for seed in (1, 2):
+            array = encode(code, DataArray.random(code.field, code.k, random.Random(seed)))
+            for node, plan in enumerate(plans):
+                column, trace = _repair(array, node, code)
+                assert column == array.symbols[:, node].tolist()
+                assert trace == plan.trace and trace is not plan.trace, (shape, node)
+                if node < code.k:
+                    assert trace == traces[node] and traces[node] is not plan.trace, (shape, node)
+        assert lam == sum(p.trace.total for p in plans[: code.k]) / code.k**2
+
+        def bit_ops(plan):
+            return sum(s.adds for s in plan.stages) * nu + sum(s.muls for s in plan.stages) * nu * nu
+
+        meas = measured_complexity(code)
+        assert meas["repair_bit_ops_per_node"] == [bit_ops(p) for p in plans[: code.k]], shape
+        assert meas["encode_bit_ops_total"] == bit_ops(repair_plan(code, None, ())), shape
+
+
 def test_execute_returns_independent_traces(spec_10_5):
     """Each execute copies the plan's prebuilt trace: mutating one result
     leaves the next and the plan unchanged.  Encode and decode plans are
@@ -522,12 +550,16 @@ def test_cold_replay_equals_warm(spec_9_5):
     array.erase_nodes([3])
 
     def outcome(node):
-        counter = OpCounter()
-        column, trace = _repair(array, node, spec_9_5, counter)
-        return column, trace.to_json(), sorted(trace.cache), counter.adds, counter.muls
+        column, trace = _repair(array, node, spec_9_5)
+        return column, trace.to_json(), sorted(trace.cache)
 
     for node in range(spec_9_5.n):
+        key = (_interned(spec_9_5), node, tuple(x for x in array.erased_nodes if x != node))
         repair_plan.cache_clear()
         cold = outcome(node)
         assert outcome(node) == cold
         assert repair_plan.cache_info().hits == 1
+        warm = repair_plan(*key)
+        repair_plan.cache_clear()
+        recompiled = repair_plan(*key)  # a cold compile counts the same operations
+        assert (recompiled.adds, recompiled.muls, recompiled.stages) == (warm.adds, warm.muls, warm.stages)
