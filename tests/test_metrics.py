@@ -1,7 +1,13 @@
+import random
+
+import numpy as np
 import pytest
 
+from pbdss.class_a import _interned
 from pbdss.gf import FieldSpec
+from pbdss.layout import DataArray
 from pbdss.metrics import (
+    OpCounter,
     basic_pm_mbr_row,
     f_sequence,
     fill_measurements,
@@ -13,7 +19,8 @@ from pbdss.metrics import (
     table2_rows,
     table3_rows,
 )
-from pbdss.repair import CodeSpec
+from pbdss.plan import replay
+from pbdss.repair import CodeSpec, encode, repair_data_node, repair_plan
 
 
 def test_f_sequence():
@@ -74,12 +81,35 @@ def test_construction2_encode_within_bound():
     assert meas["encode_bit_ops_per_row"] <= report.encode_ops
 
 
+def test_encode_counts_data_independent(spec_10_5):
+    """encode replays one plan compiled from the spec alone, on zero and on
+    random data, and the measured encode figure is that plan's totals."""
+    spec, k = spec_10_5, spec_10_5.k
+    plan = repair_plan(_interned(spec), None, ())
+    for data in (DataArray.zeros(spec.field, k), DataArray.random(spec.field, k, random.Random(3))):
+        parities = encode(spec, data).symbols[:, k:]
+        assert np.array_equal(parities, replay(plan, data.symbols).reshape(spec.n - k, k).T)
+        assert repair_plan(_interned(spec), None, ()) is plan
+    assert (plan.adds, plan.muls) == (sum(s.adds for s in plan.stages), sum(s.muls for s in plan.stages))
+    assert measured_complexity(spec)["encode_bit_ops_total"] == OpCounter(plan.adds, plan.muls).bit_ops(spec.field.bits)
+
+
 def test_measured_lambda_examples(spec_10_5, spec_7_4_h):
     lam, traces = measured_lambda(spec_10_5)
     assert lam == pytest.approx(1.8)
     assert len(traces) == 5
     lam, _ = measured_lambda(spec_7_4_h)
     assert lam == pytest.approx(1.875)
+
+
+def test_measured_lambda_seed_independent(spec_10_5):
+    """The data-free measured_lambda equals the lambda of repairing every
+    data node of arrays encoded from two different seeds."""
+    spec, k = spec_10_5, spec_10_5.k
+    lam, _ = measured_lambda(spec)
+    for seed in (0, 99):
+        array = encode(spec, DataArray.random(spec.field, k, random.Random(seed)))
+        assert sum(repair_data_node(array, j, spec)[1].total for j in range(k)) / k / k == lam
 
 
 def test_lambda_bound_and_measured_in_report(spec_9_5):
