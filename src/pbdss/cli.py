@@ -276,7 +276,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = commands["construct"] = sub.add_parser("construct", help="build a code spec and print its figures")
     add_shape(p)
     p.add_argument("--remark1", action="store_true",
-                   help="drop row sums from the sum parities (full complement only)")
+                   help="drop row sums from the sum parities (construction 1, full complement only)")
     p.add_argument("--out", help="write the spec JSON here")
     p.set_defaults(func=cmd_construct)
 

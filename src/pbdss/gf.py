@@ -554,12 +554,13 @@ def _add_reduce(field: FieldSpec, a: np.ndarray, axis: int, starts=None) -> np.n
     """
     p, digits = field.p, field.tables.digits
     if digits is not None:
-        a = digits[a]
+        a = digits.take(a, axis=0)
     ufunc = np.bitwise_xor if p == 2 else np.add
     total = ufunc.reduce(a, axis=axis) if starts is None else ufunc.reduceat(a, starts, axis=axis)
     if p == 2:
         return total
-    return total % p if digits is None else total % p @ field.tables.powers
+    total %= p
+    return total if digits is None else total @ field.tables.powers
 
 
 def _gauss_jordan(field: FieldSpec, a: np.ndarray, rhs: np.ndarray | None = None):

@@ -26,6 +26,7 @@ from .plan import PLAN_CACHE_SIZE
 Position = tuple[int, int]
 
 ARRAY_MAGIC = b"PBDSS1"
+_SYMBOL = np.dtype("<u2")  # a PBDSS1 symbol
 
 
 def r_set(j: int, k: int) -> list[Position]:
@@ -170,7 +171,7 @@ def write_code_array(array: CodeArray) -> bytes:
     head = ARRAY_MAGIC + struct.pack("<5H", array.k, array.n, field.p, field.m, len(field.reduction))
     head += struct.pack(f"<{len(field.reduction)}H", *field.reduction)
     mask = np.packbits(array.mask, bitorder="little")
-    return head + array.symbols.astype("<u2", copy=False).tobytes() + mask.tobytes()
+    return head + array.symbols.astype(_SYMBOL, copy=False).tobytes() + mask.tobytes()
 
 
 def _need(blob: bytes, off: int, size: int, part: str) -> None:
@@ -181,7 +182,8 @@ def _need(blob: bytes, off: int, size: int, part: str) -> None:
 
 
 def read_code_array(blob: bytes) -> CodeArray:
-    """The array a PBDSS1 blob holds; its symbols are a view of the blob.
+    """The array a PBDSS1 blob holds; its symbols are a view of the blob,
+    taken once and range-checked flat before it is shaped (k, n).
 
     The mask and its `erased_nodes` come from _unpacked_mask, which caches
     them per (k, n, mask bytes): arrays read with the same erasure pattern
@@ -200,10 +202,10 @@ def read_code_array(blob: bytes) -> CodeArray:
     off += 2 * red_len
     field = cached_field(p, m, reduction)
     _need(blob, off, 2 * k * n, "symbols")
-    symbols = np.frombuffer(blob, dtype="<u2", count=k * n, offset=off).reshape(k, n)
+    flat = np.ndarray((k * n,), _SYMBOL, blob, off)
     off += 2 * k * n
-    if symbols.size and symbols.max() >= field.q:
-        raise ValueError(f"symbol value {symbols.max()} out of range for {field}")
+    if k * n and (top := np.maximum.reduce(flat)) >= field.q:
+        raise ValueError(f"symbol value {top} out of range for {field}")
     mask_len = (k * n + 7) // 8
     _need(blob, off, mask_len, "erasure mask")
     if len(blob) > off + mask_len:
@@ -211,7 +213,7 @@ def read_code_array(blob: bytes) -> CodeArray:
             f"PBDSS1 array has {len(blob) - off - mask_len} trailing bytes after the erasure mask "
             f"(bytes {off + mask_len}..{len(blob)})"
         )
-    return CodeArray._wrap(field, symbols, *_unpacked_mask(k, n, blob[off:]))
+    return CodeArray._wrap(field, flat.reshape(k, n), *_unpacked_mask(k, n, blob[off:]))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)

@@ -123,11 +123,11 @@ def formula_bundle(n: int, k: int, n_a: int, tau: int, field: FieldSpec) -> Cost
 
 def measured_lambda(spec: CodeSpec):
     """Average reads per repaired node over all data nodes, normalized by k,
-    and each data node's read trace (a copy of its plan's, as
+    and each data node's read trace (its plan's frozen trace, as
     plan.execute returns it).  Read counts are structural: they are read
     off the compiled plans, with no data."""
     code = _interned(spec)
-    traces = [repair_plan(code, j, ()).trace.copy() for j in range(spec.k)]
+    traces = [repair_plan(code, j, ()).trace for j in range(spec.k)]
     lam = sum(t.total for t in traces) / spec.k / spec.k
     return lam, traces
 

@@ -12,11 +12,11 @@ turns each term's read into its flat offset in that array, once.
 one log lookup, one add and one exp lookup per term and one segment sum
 per output, so its work follows the nonzero terms that the paper's
 repair complexity counts, not the size of the matrix; every plan runs
-through it.  `execute` replays a repair session: it also returns a copy
-of the session's read trace, which the plan holds prebuilt.  The
-field-operation counts are the plan's `adds` and `muls`, totalled from
-its stages when it is built.  Nothing here knows the schedules that build
-plans.
+through it.  `execute` replays a repair session: it also returns the
+session's read trace, which the plan holds frozen, so every repair of the
+plan shares that one immutable trace.  The field-operation counts are the
+plan's `adds` and `muls`, totalled from its stages when it is built.
+Nothing here knows the schedules that build plans.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -48,13 +49,20 @@ class UnrecoverableErasureError(ValueError):
         self.needed = needed
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReadTrace:
-    """Ordered log of (node, row) reads plus the session cache."""
+    """Ordered log of (node, row) reads plus the session cache.
 
-    reads: list[NodePos] = dc_field(default_factory=list)
-    cache: set[NodePos] = dc_field(default_factory=set)
-    per_symbol: dict[NodePos, int] = dc_field(default_factory=dict)
+    A session logs into a new trace's list, set and dict through `read`;
+    `frozen` gives the immutable trace a plan keeps, which every execute
+    of the plan returns: its reads a tuple, its cache a frozenset and
+    `per_symbol` a read-only mapping.  A frozen trace writes its JSON on
+    the first to_json and keeps it.
+    """
+
+    reads: list[NodePos] | tuple[NodePos, ...] = dc_field(default_factory=list)
+    cache: set[NodePos] | frozenset[NodePos] = dc_field(default_factory=set)
+    per_symbol: dict[NodePos, int] | MappingProxyType = dc_field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -69,9 +77,16 @@ class ReadTrace:
         self.cache.add(pos)
         return 1
 
-    def copy(self) -> "ReadTrace":
-        """An independent trace: its own read list, cache and per-symbol counts."""
-        return ReadTrace(self.reads.copy(), self.cache.copy(), self.per_symbol.copy())
+    def frozen(self) -> "ReadTrace":
+        """This trace as an immutable value, over copies of its parts."""
+        return ReadTrace(tuple(self.reads), frozenset(self.cache), MappingProxyType(dict(self.per_symbol)))
+
+    def __reduce__(self):
+        """Pickle by parts; a frozen trace is frozen again on load (a
+        mappingproxy cannot be pickled)."""
+        if type(self.per_symbol) is MappingProxyType:
+            return ReadTrace.frozen, (ReadTrace(self.reads, self.cache, dict(self.per_symbol)),)
+        return ReadTrace, (self.reads, self.cache, self.per_symbol)
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,11 +98,16 @@ class ReadTrace:
     def to_json(self) -> str:
         """json.dumps(self.to_json_dict()), byte for byte, written in one
         pass: positions and counts are ints, so %d writes them as json does."""
-        return '{"reads": [%s], "perSymbol": {%s}, "total": %d}' % (
-            ", ".join(["[%d, %d]" % pos for pos in self.reads]),
-            ", ".join(['"%d:%d": %d' % (n, r, c) for (n, r), c in self.per_symbol.items()]),
-            self.total,
-        )
+        text = self.__dict__.get("_json")
+        if text is None:
+            text = '{"reads": [%s], "perSymbol": {%s}, "total": %d}' % (
+                ", ".join(["[%d, %d]" % pos for pos in self.reads]),
+                ", ".join(['"%d:%d": %d' % (n, r, c) for (n, r), c in self.per_symbol.items()]),
+                self.total,
+            )
+            if type(self.reads) is tuple and type(self.per_symbol) is MappingProxyType:  # frozen
+                object.__setattr__(self, "_json", text)
+        return text
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,9 +142,9 @@ class Terms(NamedTuple):
     offset of `reads[t]` in the stored array (see RepairPlan.offsets).
     """
 
-    logs: np.ndarray  # int32
-    reads: np.ndarray  # int32
-    starts: np.ndarray  # int32
+    logs: np.ndarray  # intp, as replay adds and indexes with it, so no call casts it
+    reads: np.ndarray  # int32: read once per width, by _offsets
+    starts: np.ndarray  # intp, as replay's segment sum takes it
 
 
 def _terms(field: FieldSpec, matrix: np.ndarray) -> Terms:
@@ -134,9 +154,9 @@ def _terms(field: FieldSpec, matrix: np.ndarray) -> Terms:
     if keep.shape[1]:
         keep[:, 0] |= ~keep.any(axis=1)
     rows, cols = keep.nonzero()
-    starts = np.zeros(len(matrix), dtype=np.int32)
+    starts = np.zeros(len(matrix), dtype=np.intp)
     np.cumsum(keep.sum(axis=1)[:-1], out=starts[1:])
-    return Terms(log[matrix[rows, cols]].astype(np.int32), cols.astype(np.int32), starts)
+    return Terms(log[matrix[rows, cols]].astype(np.intp), cols.astype(np.int32), starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +169,8 @@ class RepairPlan:
     `stages` hold the schedule the matrix was composed from and its field-
     operation counts.  `trace` is the read trace a repair session logged
     while it was compiled (the session cache holds the reads and, in a
-    data-node session, the repaired symbols too); execute returns a copy
-    of it.  Only single-node repair plans carry one: encode and decode
+    data-node session, the repaired symbols too), frozen; execute returns
+    it itself.  Only single-node repair plans carry one: encode and decode
     plans are replayed, never executed.  `terms` (the matrix as replay
     streams it) and the totals `adds` and `muls` of the stages are derived
     once, when the plan is built; `offsets` maps each stored-array width
@@ -233,15 +253,15 @@ def _lanes(field: FieldSpec, terms: Terms, values: np.ndarray) -> np.ndarray:
     """The (S,) or (S, L) outputs over the (T,) or (T, L) values of the terms."""
     if not len(terms.logs):  # the plan reads nothing: every output is 0
         return np.zeros((len(terms.starts), *values.shape[1:]), dtype=np.int64)
-    exp, log = field.tables.exp, field.tables.log
-    logs = terms.logs if values.ndim == 1 else terms.logs[:, None]
-    return _add_reduce(field, exp[log.take(values) + logs], 0, terms.starts)
+    logs = field.tables.log.take(values)
+    logs += terms.logs if values.ndim == 1 else terms.logs[:, None]
+    return _add_reduce(field, field.tables.exp.take(logs), 0, terms.starts)
 
 
 def execute(plan: RepairPlan, stored: np.ndarray) -> tuple[np.ndarray, ReadTrace]:
-    """Replay a single-node repair session: its outputs and a copy of the
-    read trace the plan holds."""
+    """Replay a single-node repair session: its outputs and the frozen
+    read trace the plan holds, not copied."""
     out = replay(plan, stored)
     if plan.trace is None:
         raise ValueError("only a single-node repair plan carries a read trace")
-    return out, plan.trace.copy()
+    return out, plan.trace

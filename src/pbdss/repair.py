@@ -76,6 +76,8 @@ class CodeSpec:
         if construction == 1:
             spec_b = construct1_parities(k, n_a, n_b, tau, remark1=remark1)
         elif construction == 2:
+            if remark1:
+                raise ValueError("remark1 applies to construction 1 only")
             spec_b = construct2_parities(k, n_a, n_b, tau)
         else:
             raise ValueError(f"unknown construction {construction}")
@@ -288,7 +290,7 @@ class _Session:
         contributes its read, a source that an earlier stage recovered
         contributes that stage's form.  Matrix rows follow the (node, row)
         order of the outputs.  When `traced` (a single-node repair), the
-        plan keeps the session's read trace for execute to copy.
+        plan keeps the session's read trace, frozen, for execute to return.
         """
         f, trace = self.f, self.trace
         reads = tuple(trace.reads)
@@ -309,7 +311,7 @@ class _Session:
             values += forms[symbol].values()
         matrix = np.zeros((len(forms), len(reads)), dtype=_compact(f))
         matrix[rows, cols] = values
-        return RepairPlan(f, reads, matrix, tuple(self.stages), trace if traced else None)
+        return RepairPlan(f, reads, matrix, tuple(self.stages), trace.frozen() if traced else None)
 
 
 def _escalate(spec: CodeSpec, node: int, erased: tuple[int, ...]) -> RepairPlan:
@@ -353,8 +355,25 @@ def repair_plan(code: CodeSpec, node: int | None, erased: tuple[int, ...]) -> Re
     return session.plan(traced=node is not None)
 
 
+def _check_array(array: CodeArray, spec: CodeSpec) -> None:
+    """Raise ValueError unless `array` holds a stripe of `spec`: its field,
+    k rows and at least n nodes (a punctured spec repairs from the
+    full-width array).  The field is compared by identity first: arrays
+    and specs read from files share one cached FieldSpec."""
+    if array.field is not spec.field and array.field != spec.field:
+        raise ValueError(f"array is over {array.field!r}, but the spec is over {spec.field!r}")
+    if array.k != spec.k or array.n < spec.n:
+        raise ValueError(f"array is {array.k} x {array.n}, but the spec needs {spec.k} rows "
+                         f"and at least {spec.n} nodes")
+
+
 def _repair(array: CodeArray, node: int, spec: CodeSpec):
-    erased = tuple(x for x in array.erased_nodes if x != node and x < spec.n)  # a wider array may be masked past n
+    _check_array(array, spec)
+    erased = array.erased_nodes  # increasing; a wider array may be masked past n
+    if erased == (node,):
+        erased = ()
+    elif erased:
+        erased = tuple(x for x in erased if x != node and x < spec.n)
     values, trace = execute(repair_plan(_interned(spec), node, erased), array.symbols)
     return values.tolist(), trace
 
@@ -403,6 +422,7 @@ def repair_multi(array: CodeArray, failed, spec: CodeSpec):
     array's mask (layout.read_code_array), so a repeated pattern costs one
     lookup and one replay.
     """
+    _check_array(array, spec)
     failed = set(failed)
     if failed and (min(failed) < 0 or max(failed) >= spec.n):
         raise ValueError("failed node index out of range")

@@ -628,6 +628,8 @@ def test_entry_point_pipeline(tmp_path):
     (["verify", "--quick", "--jobs", "-2"], "--jobs must be at least 1, got -2"),
     (["verify", "--max-k", "13"], "--max-k must be at most 12, got 13: the sweep reaches n_a = k + 4, "
                                   "and exhaustive search is capped at n <= 16"),
+    (["construct", "--k", "5", "--n-a", "7", "--n-b", "8", "--tau", "1", "--construction", "2", "--remark1"],
+     "remark1 applies to construction 1 only"),
 ])
 def test_input_faults_exit_2(tmp_path, capsys, argv, message):
     """Node indices past n, directories where files belong and JSON nested

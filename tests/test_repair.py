@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -232,6 +233,8 @@ def test_codespec_validation(gf8, gf11):
     wrong_tau = construct1_parities(5, 7, 7, 2)
     with pytest.raises(ValueError):
         CodeSpec(gf8, spec_a, wrong_tau)
+    with pytest.raises(ValueError, match="remark1 applies to construction 1 only"):
+        CodeSpec.build(5, 7, 8, 1, construction=2, remark1=True)
 
 
 def test_roundtrip_both_constructions_small_sweep():
@@ -246,6 +249,30 @@ def test_roundtrip_both_constructions_small_sweep():
                 for j in range(k):
                     col, _ = repair_data_node(arr, j, spec)
                     assert col == [data.rows[i][j] for i in range(k)]
+
+
+@pytest.mark.parametrize("entry", ["data", "parity", "multi"])
+def test_repairs_refuse_an_array_of_another_code(entry):
+    """Every repair entry raises ValueError on an array over another field,
+    with another k, or narrower than the spec.  They used to return wrong
+    columns (a (5,9,2) GF(11) array under the GF(13) spec of that shape)
+    or fail with an IndexError inside replay.  A wider array, a punctured
+    spec's stripe, still repairs."""
+    spec = CodeSpec.build(5, 9, 7, 2, field=FieldSpec(11))
+    repair = {"data": lambda a, s: repair_data_node(a, 0, s)[0],
+              "parity": lambda a, s: repair_parity_node(a, 5, s)[0],
+              "multi": lambda a, s: repair_multi(a, [0], s)[0]}[entry]
+    cases = [
+        (spec, CodeSpec.build(5, 9, 7, 2, field=FieldSpec(13)), "array is over GF(11), but the spec is over GF(13)"),
+        (CodeSpec.build(4, 7, 5, 2, field=FieldSpec(11)), spec, "array is 4 x 8, but the spec needs 5 rows"),
+        (puncture(spec, 1), spec, "array is 5 x 10, but the spec needs 5 rows and at least 11 nodes"),
+    ]
+    for array_spec, repair_spec, message in cases:
+        _, array = fresh_array(array_spec)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            repair(array, repair_spec)
+    _, array = fresh_array(spec)
+    assert repair(array, puncture(spec, 2)) == repair(array, spec) == array.symbols[:, 0 if entry != "parity" else 5].tolist()
 
 
 def test_remark1_same_lambda_fewer_adds():

@@ -6,14 +6,15 @@ stage against scalar FieldSpec arithmetic, at L = 4096 and L = 65,536
 lanes against L = 1, against the generator, and through its bounded
 cache.  Its compiled terms must rebuild its matrix, replay must handle
 hand-built edge plans and any array layout, and the read trace each
-execute returns must be an independent copy of the one the session
-logged while it was compiled.
+execute returns must be the plan's own immutable copy of the one the
+session logged while it was compiled.
 """
 
 import dataclasses
 import functools
 import itertools
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -275,7 +276,7 @@ def _rebuilt(plan):
 
 def _check_terms(plan):
     terms, matrix = plan.terms, plan.matrix
-    assert {a.dtype for a in terms} == {np.dtype(np.int32)}
+    assert (terms.logs.dtype, terms.reads.dtype, terms.starts.dtype) == (np.intp, np.int32, np.intp)
     dense, rows = _rebuilt(plan)
     assert (dense == matrix).all()
     # the nonzero entries in row-major order, plus one zero term per empty row
@@ -347,7 +348,7 @@ def _session_walk(plan, data_node: bool) -> ReadTrace:
         if data_node:
             walk.cache.add(st.symbol)
         walk.per_symbol[st.symbol] = issued if data_node else len(st.sources)
-    return walk
+    return walk.frozen()
 
 
 def test_rebuilt_traces_equal_the_session_logs(spec_10_5, spec_9_5):
@@ -423,9 +424,9 @@ def test_measured_figures_equal_executed_repairs():
             for node, plan in enumerate(plans):
                 column, trace = _repair(array, node, code)
                 assert column == array.symbols[:, node].tolist()
-                assert trace == plan.trace and trace is not plan.trace, (shape, node)
+                assert trace is plan.trace, (shape, node)
                 if node < code.k:
-                    assert trace == traces[node] and traces[node] is not plan.trace, (shape, node)
+                    assert traces[node] is plan.trace, (shape, node)
         assert lam == sum(p.trace.total for p in plans[: code.k]) / code.k**2
 
         def bit_ops(plan):
@@ -437,25 +438,64 @@ def test_measured_figures_equal_executed_repairs():
 
 
 def test_execute_returns_independent_traces(spec_10_5):
-    """Each execute copies the plan's prebuilt trace: mutating one result
-    leaves the next and the plan unchanged.  Encode and decode plans are
-    never executed and carry no trace."""
+    """Each execute returns the plan's own frozen trace, and nothing can
+    change it: its reads, cache and per-symbol counts refuse every write,
+    so one repair's trace cannot leak into the next.  Encode and decode
+    plans are never executed and carry no trace."""
     code = _interned(spec_10_5)
     stored = encode(code, DataArray.random(code.field, code.k, random.Random(12))).symbols
     for node, erased in ((0, ()), (code.k, ()), (code.n - 1, ()), (0, (1,))):
         plan = repair_plan(code, node, erased)
-        pristine = ReadTrace(list(plan.trace.reads), set(plan.trace.cache), dict(plan.trace.per_symbol))
+        pristine = ReadTrace(list(plan.trace.reads), set(plan.trace.cache), dict(plan.trace.per_symbol)).frozen()
         first, second = execute(plan, stored)[1], execute(plan, stored)[1]
-        first.reads.append((node, 0))
-        first.cache.add((node, 0))
-        first.per_symbol[node, 0] = 99
-        assert second == pristine and plan.trace == pristine, (node, erased)
+        assert first is second is plan.trace, (node, erased)
+        _assert_immutable(first, node)
+        assert plan.trace == pristine, (node, erased)
+        back = pickle.loads(pickle.dumps(first))  # frozen again, with equal parts
+        _assert_immutable(back, node)
+        assert back == pristine and back.to_json() == first.to_json(), (node, erased)
     assert repair_plan(code, None, ()).trace is None
     for erased in ((0,), (0, 1), (5, 7), (0, 1, 2)):  # (0, 1, 2) is undecodable
         assert decode_plan(code, erased).trace is None
         assert decode_plan(code.class_a, tuple(x for x in erased if x < code.n_a)).trace is None
     with pytest.raises(ValueError, match="read trace"):
         execute(decode_plan(code, (0,)), stored)
+
+
+def _assert_immutable(trace, node):
+    """Every way of changing a trace's reads, cache or per-symbol counts raises."""
+    writes = (lambda: trace.reads.append((node, 0)), lambda: trace.cache.add((node, 0)),
+              lambda: trace.per_symbol.__setitem__((node, 0), 99), lambda: trace.per_symbol.pop((node, 0), None),
+              lambda: setattr(trace, "reads", []), lambda: setattr(trace, "per_symbol", {}))
+    for write in writes:
+        with pytest.raises((AttributeError, TypeError)):
+            write()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_repairs_share_their_plans_immutable_trace(data):
+    """Over erasure patterns on the six stripe shapes, masked neighbours
+    included: the trace a repair returns is its plan's trace, it refuses
+    every write, and its JSON, kept after the first to_json, is
+    json.dumps of its dict byte for byte on every call."""
+    code = _stripe_code(data.draw(st.sampled_from(STRIPE_SHAPES)))
+    node = data.draw(st.integers(0, code.n - 1))
+    lost = set(data.draw(st.lists(st.integers(0, code.n - 1), max_size=2)))
+    if data.draw(st.booleans()):
+        lost.add((node + 1) % code.n)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    stored = encode(code, DataArray.random(code.field, code.k, rng))
+    try:
+        column, trace = _repair(_masked(code, stored, {node, *lost}, rng), node, code)
+    except UnrecoverableErasureError:
+        return
+    assert column == stored.symbols[:, node].tolist()
+    assert trace is repair_plan(_interned(code), node, tuple(sorted(lost - {node}))).trace
+    _assert_immutable(trace, node)
+    want = json.dumps(trace.to_json_dict())
+    fresh = ReadTrace(list(trace.reads), set(trace.cache), dict(trace.per_symbol)).frozen()
+    assert [fresh.to_json(), fresh.to_json(), trace.to_json(), trace.to_json()] == [want] * 4
 
 
 def test_replay_over_any_layout(spec_10_5):

@@ -15,7 +15,8 @@ run fails.
 
 The commands: on the six `cli_pipeline` shapes of perfbench plus (9,5) over
 GF(3^2), `construct --out`, `encode --seed`, `repair-sim --array
---trace-out`, `repair-sim --nodes`, `repair-sim --punctured` and
+--trace-out`, `repair-sim --nodes`, `repair-sim --punctured`, with and
+without `--trace-out`, `repair-sim --array --node 0 --trace-out` and
 `parity-sim`; then `tables` 2 and 3 in CSV and in JSON, and `verify
 --quick`.  Like `bench_pairs.py`, it needs two trees, so it is not part of
 the test suite; `tests/test_cli_parity.py` checks `compare` on synthetic
@@ -57,6 +58,9 @@ def commands() -> list[list[str]]:
             ["repair-sim", "--spec", spec, "--array", array, "--trace-out", f"{name}-trace.json"],
             ["repair-sim", "--spec", spec, "--seed", "3", "--nodes", "0,2"],
             ["repair-sim", "--spec", spec, "--seed", "3", "--punctured", "1"],
+            ["repair-sim", "--spec", spec, "--seed", "3", "--punctured", "1", "--trace-out",
+             f"{name}-punctured-trace.json"],
+            ["repair-sim", "--spec", spec, "--array", array, "--node", "0", "--trace-out", f"{name}-node0-trace.json"],
             ["parity-sim", "--spec", spec, "--seed", "3"],
         ]
     out += [["tables", "--table", table, "--format", fmt] for table in ("2", "3") for fmt in ("csv", "json")]
