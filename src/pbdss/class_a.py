@@ -1,15 +1,16 @@
-"""MDS-plus-piggyback parity nodes: construction, fault tolerance, decoding.
+"""MDS-plus-piggyback parity nodes: construction, fault tolerance, decode plans.
 
 A code of length n_a over k data nodes starts from a systematic (n_a, k)
 MDS code applied row by row.  The last tau parity columns then each absorb
 one extra data symbol per row (a piggyback), which later lets a repair
 recover tau column symbols at one additional read each.  Piggybacks cost
 fault tolerance; fault_tolerance() quantifies exactly how much.
+decode_plan compiles the decode of an erasure pattern of a full CodeSpec,
+which repair.repair_multi replays.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -26,9 +27,8 @@ from .gf import (
     matmul,
     smallest_field_of_order_at_least,
 )
-from .layout import CodeArray, DataArray
-from .plan import PLAN_CACHE_SIZE, RepairPlan, positions, replay
-from .plan import UnrecoverableErasureError  # raised by replay; callers import it from here
+from .plan import PLAN_CACHE_SIZE, RepairPlan, positions
+from .plan import UnrecoverableErasureError  # raised by a replayed DecodePlan; callers import it from here
 
 EXHAUSTIVE_SUBMATRIX_LIMIT = 10**5
 RANDOM_SUBMATRIX_TRIALS = 10**4
@@ -242,21 +242,6 @@ def _verified_mds(alpha: tuple[tuple[int, ...], ...], n_a: int, k: int, field: F
     verify_mds(alpha, n_a, k, field)
 
 
-def encode_class_a(data: DataArray, spec: ClassASpec) -> list[list[int]]:
-    """k x (n_a - k) parity block: plain MDS columns then piggybacked ones.
-
-    The decode plan of the pattern that erases every parity node, whose
-    matrix holds the class-A rows of the generator, replayed over the data.
-    """
-    if data.field != spec.field:
-        raise ValueError("data array and spec use different fields")
-    if data.k != spec.k:
-        raise ValueError("data array dimension does not match spec")
-    k = spec.k
-    parities = replay(decode_plan(_interned(spec), tuple(range(k, spec.n_a))), data.symbols)
-    return parities.reshape(spec.n_a - k, k).T.tolist()
-
-
 @dataclass(frozen=True, eq=False)
 class DecodePlan(RepairPlan):
     """The decode of one erasure pattern, as a GF(q) linear map.
@@ -278,13 +263,6 @@ def _compact(field: FieldSpec):
     return np.uint8 if field.q <= 256 else np.uint16
 
 
-def _split(code) -> tuple[ClassASpec, int]:
-    """The class-A part of a ClassASpec or CodeSpec, and the code length."""
-    if isinstance(code, ClassASpec):
-        return code, code.n_a
-    return code.class_a, code.n
-
-
 @functools.lru_cache(maxsize=16)  # a few codes per process, as for field tables
 def _interned(code):
     """The first code seen equal to `code`.
@@ -299,22 +277,22 @@ def _interned(code):
 
 @functools.lru_cache(maxsize=16)  # a few codes per process, as for field tables
 def _generator(code) -> np.ndarray:
-    """Every stored symbol as a form over the data symbols.
+    """Every stored symbol of the CodeSpec `code` as a form over the data
+    symbols.
 
     Entry [c, i, j, r] is the coefficient of data symbol d[r][j] in
     symbol i of node c: a data symbol, an MDS row plus its piggyback, or
     a sum.
     """
-    spec, n = _split(code)
-    k, n_a, tau = spec.k, spec.n_a, spec.tau
+    k, n_a, tau = code.k, code.n_a, code.tau
     rows = np.arange(k)
-    gen = np.zeros((n, k, k, k), dtype=_compact(spec.field))
+    gen = np.zeros((code.n, k, k, k), dtype=_compact(code.field))
     gen[rows[:, None], rows, rows[:, None], rows] = 1
-    gen[k:n_a, rows, :, rows] = np.array(spec.alpha).T
-    for c in spec.piggybacked_columns:
+    gen[k:n_a, rows, :, rows] = np.array(code.class_a.alpha).T
+    for c in code.class_a.piggybacked_columns:
         t = c - (n_a - tau - 1)  # symbol i absorbs data symbol ((i + t) % k, i)
         gen[c, rows, rows, (rows + t) % k] = 1
-    for c in range(n_a, n):
+    for c in range(n_a, code.n):
         for t, par in enumerate(code.class_b.node_parities(c)):
             for r, j in par:
                 gen[c, t, j, r] = 1
@@ -356,28 +334,27 @@ def _rotation_parities(spec: ClassASpec, failed: list[int], alive: list[int], er
 def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
     """Compile the decode of one erasure pattern; cached by value.
 
-    `code` is a ClassASpec, or a CodeSpec whose erased sum-parity nodes
-    are then re-encoded too; `erased` lists the erased nodes in
-    increasing order.  The lost data symbols come from one elimination
+    `code` is a CodeSpec (pbdss.repair); `erased` lists the erased nodes
+    in increasing order.  The lost data symbols come from one elimination
     over the class-A parity nodes that the rotation schedule reads
     (_rotation_parities), or over every surviving class-A parity where
     the schedule cannot order the pattern.  Where it can, its phi nodes
     give k^2 reads for the k^2 data symbols, so the decode matrix is the
     one solution of a square system.  Each erased parity symbol is its
     generator form over the data, with every lost data symbol replaced by
-    its own form.
+    its own form, so erased sum-parity nodes are re-encoded too: they
+    never take part in correction.
     """
-    spec, n = _split(code)
-    f, k = spec.field, spec.k
+    f, k, n_a = code.field, code.k, code.n_a
     compact = _compact(f)
-    at = positions(n, k)
+    at = positions(code.n, k)
 
     def plan(slots: list[int], matrix, rank: int) -> DecodePlan:
         return DecodePlan(
             f,
             tuple(at[node][row] for node in slots for row in range(k)),
             matrix,
-            error=f"erasure pattern {[j for j in erased if j < spec.n_a]} is not decodable",
+            error=f"erasure pattern {[j for j in erased if j < n_a]} is not decodable",
             rank=rank,
             needed=k * k,
             nodes=erased,
@@ -392,8 +369,8 @@ def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
     matrix = _over(forms, alive)
     slots = alive
     if failed:
-        parities = _rotation_parities(spec, failed, alive, lost_nodes) or [
-            c for c in range(k, spec.n_a) if c not in lost_nodes
+        parities = _rotation_parities(code.class_a, failed, alive, lost_nodes) or [
+            c for c in range(k, n_a) if c not in lost_nodes
         ]
         read_forms = gen[parities].reshape(-1, k, k)
         # the row operations L that solve the read parities for the lost
@@ -413,35 +390,3 @@ def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
             lost = np.concatenate([lost, array_sub(f, direct, through)])
         matrix = lost
     return plan(slots, matrix.astype(compact), k * k)
-
-
-def decode_multi_class_a(
-    array: CodeArray,
-    code,
-    erased_nodes=None,
-) -> dict[int, list[int]]:
-    """Recover every data column and every erased column.
-
-    `code` is a ClassASpec, or a CodeSpec whose sum-parity nodes, which
-    never take part in correction, are then re-encoded too.  The erased
-    nodes are `erased_nodes` plus every node with a masked symbol, so no
-    masked symbol is ever read.  The pattern's DecodePlan, compiled once
-    and cached, is replayed by plan.replay over the symbols it reads.
-    """
-    erased = set(erased_nodes or ())
-    if any(not 0 <= j < _split(code)[1] for j in erased):
-        raise ValueError("erased node index outside the code")
-    nodes, columns = _decode_erased(array, code, erased)
-    return {**{j: array.symbols[:, j].tolist() for j in range(code.k) if j not in nodes},
-            **dict(zip(nodes, columns))}
-
-
-def _decode_erased(array: CodeArray, code, erased: set[int]) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The erased nodes, `erased` (checked to lie in the code) plus every
-    node of the code with a masked symbol, in increasing order, and their
-    columns: one decode_plan lookup and one replay."""
-    spec, n = _split(code)
-    masked = array.erased_nodes  # increasing; nodes past the code are never read
-    pattern = tuple(sorted(erased.union(masked[: bisect.bisect_left(masked, n)])))
-    values = replay(decode_plan(_interned(code), pattern), array.symbols)
-    return pattern, values.reshape(len(pattern), spec.k).tolist()

@@ -139,14 +139,19 @@ class CodeArray:
         return self.mask.tolist()
 
     def get(self, row: int, node: int) -> int:
+        if not (0 <= row < self.k and 0 <= node < self.n):
+            raise ValueError(f"symbol ({row}, {node}) outside the {self.k} x {self.n} array")
         if self.mask[row, node]:
             raise ValueError(f"symbol ({row}, {node}) is erased")
         return int(self.symbols[row, node])
 
     def erase_nodes(self, nodes) -> None:
         """Mask every symbol of `nodes`, through a new mask."""
+        nodes = list(nodes)
+        if any(not 0 <= j < self.n for j in nodes):
+            raise ValueError(f"node index outside [0, {self.n})")
         mask = self.mask.copy()
-        mask[:, list(nodes)] = True
+        mask[:, nodes] = True
         self._set(self.field, self.symbols, *_masked(mask))
 
     def copy(self) -> "CodeArray":

@@ -12,9 +12,8 @@ traces and the operation totals of their stages, with no data.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .class_a import _interned
 from .gf import FieldSpec
@@ -69,12 +68,6 @@ class CostReport:
     parity_lambda_b: float | None
     parity_repair_ops_a: float
     parity_repair_ops_b: float | None
-    measured_lambda: float | None = None
-    measured_repair_ops: float | None = None
-    measured_encode_ops: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def formula_bundle(n: int, k: int, n_a: int, tau: int, field: FieldSpec) -> CostReport:
@@ -151,15 +144,6 @@ def measured_complexity(spec: CodeSpec) -> dict:
         "repair_bit_ops_avg": avg_repair,
         "repair_bit_ops_normalized": avg_repair / spec.k,
     }
-
-
-def fill_measurements(report: CostReport, spec: CodeSpec) -> CostReport:
-    lam, _ = measured_lambda(spec)
-    meas = measured_complexity(spec)
-    report.measured_lambda = lam
-    report.measured_repair_ops = meas["repair_bit_ops_avg"]
-    report.measured_encode_ops = meas["encode_bit_ops_per_row"]
-    return report
 
 
 # -- closed-form rows of the code-family comparison table --------------------

@@ -27,9 +27,8 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .class_a import ClassASpec
-from .gf import batch_rank, eliminate, pivot_step, rank_batch_len
-from .repair import CodeSpec
+from .class_a import ClassASpec, UnrecoverableErasureError
+from .gf import batch_rank, eliminate, matmul, pivot_step, rank_batch_len
 
 # The longest code the exhaustive fault-tolerance search takes.
 EXHAUSTIVE_MAX_N = 16
@@ -192,32 +191,24 @@ def brute_force_fault_tolerance(code, processes: int = 1, max_t: int | None = No
 
 
 def ml_decode(code, array, pattern) -> dict[int, list[int]]:
-    """Generic rank decoder: solve for the data array, re-encode the rest."""
-    from .layout import DataArray
-    from .repair import encode as encode_full
-    from .class_a import UnrecoverableErasureError
-
-    pattern = set(pattern)
-    nodes = generator_rows(code)
+    """Generic rank decoder: solve the surviving symbols for the data
+    array, then re-encode every erased node from its generator_rows."""
+    pattern = sorted(set(pattern))
     k = code.k
-    live = [c for c in range(len(nodes)) if c not in pattern]
-    rows = np.array([nodes[c] for c in live], dtype=np.int64).reshape(-1, k * k)
+    forms = np.array(generator_rows(code), dtype=np.int64)  # (node, row, data symbol)
+    if any(not 0 <= x < len(forms) for x in pattern):
+        raise ValueError("erased node index out of range")
+    live = [c for c in range(len(forms)) if c not in pattern]
     rhs = array.symbols[:, live].T.reshape(-1, 1)  # node by node, as the rows
-    rank, solved = eliminate(code.field, rows, rhs)
+    rank, solved = eliminate(code.field, forms[live].reshape(-1, k * k), rhs)
     if rank < k * k or solved[k * k :].any():
         raise UnrecoverableErasureError(
-            f"pattern {sorted(pattern)} is not ML-decodable",
+            f"pattern {pattern} is not ML-decodable",
             rank=rank,
             needed=k * k,
         )
-    data = DataArray(code.field, solved[: k * k, 0].reshape(k, k))
-    if isinstance(code, ClassASpec):
-        from .class_a import encode_class_a
-
-        full = np.concatenate([data.symbols, np.array(encode_class_a(data, code), dtype=np.uint16)], axis=1)
-    else:
-        full = encode_full(code, data).symbols
-    return {c: full[:, c].tolist() for c in sorted(pattern)}
+    lost = matmul(code.field, forms[pattern].reshape(-1, k * k), solved[: k * k])
+    return {c: lost[s * k : (s + 1) * k, 0].tolist() for s, c in enumerate(pattern)}
 
 
 # -- minimal-read repair search ------------------------------------------------

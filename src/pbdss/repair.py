@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .class_a import ClassASpec, _compact, _decode_erased, _interned, decode_plan
+from .class_a import ClassASpec, _compact, _interned, decode_plan
 from .class_b import ClassBSpec, construct1_parities, construct2_parities
 from .gf import FieldSpec, cached_field
 from .layout import CodeArray, DataArray, q_set
@@ -414,17 +414,19 @@ def repair_multi(array: CodeArray, failed, spec: CodeSpec):
     """Repair any mix of failed nodes; returns the columns of `failed`, in
     increasing node order.
 
-    Every node with a masked symbol counts as erased too, so no masked
-    symbol is read, but only `failed` is returned.  Sum-parity nodes never
-    participate in correction: the multi-node decoder recovers the data
+    Every node of the code with a masked symbol counts as erased too, so
+    no masked symbol is read, but only `failed` is returned.  Sum-parity
+    nodes never participate in correction: the decode recovers the data
     and re-encodes every erased parity column.  The pattern's decode plan
     is compiled once and cached (class_a.decode_plan), as is a read
     array's mask (layout.read_code_array), so a repeated pattern costs one
-    lookup and one replay.
+    set union, one sort, one plan lookup and one replay.
     """
     _check_array(array, spec)
     failed = set(failed)
     if failed and (min(failed) < 0 or max(failed) >= spec.n):
         raise ValueError("failed node index out of range")
-    nodes, columns = _decode_erased(array, spec, failed)
-    return {node: column for node, column in zip(nodes, columns) if node in failed}
+    # a wider array may be masked past n, where nothing is read
+    pattern = tuple(sorted(failed.union(x for x in array.erased_nodes if x < spec.n)))
+    columns = replay(decode_plan(_interned(spec), pattern), array.symbols).reshape(len(pattern), spec.k)
+    return {node: column for node, column in zip(pattern, columns.tolist()) if node in failed}

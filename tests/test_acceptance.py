@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from pbdss.class_a import ClassASpec, _interned, encode_class_a, fault_tolerance
+from pbdss.class_a import ClassASpec, _interned, fault_tolerance
 from pbdss.class_b import construct1_parities, construct2_parities
 from pbdss.layout import DataArray
 from pbdss.metrics import OpCounter, formula_bundle, measured_lambda, table1_row
@@ -189,9 +189,10 @@ def _independent_tolerance(spec):
     assert spec.field.m == 1 and p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1)), (
         f"elimination mod p needs a prime field, got {spec.field}")
     forms = _stored_forms_mod_p(p, k, n_a, spec.tau, spec.alpha)
-    # the forms must describe the code that is actually stored
+    # the forms must describe the code that is actually stored: the code
+    # with no sum-parity node
     data = DataArray.random(spec.field, k, random.Random(4))
-    stored = [list(row) + par for row, par in zip(data.rows, encode_class_a(data, spec))]
+    stored = encode(CodeSpec(spec.field, spec, construct1_parities(k, n_a, k, spec.tau)), data).rows
     flat = [x for row in data.rows for x in row]
     for (c, i), v in forms.items():
         assert sum(a * x for a, x in zip(v, flat)) % p == stored[i][c], (c, i)

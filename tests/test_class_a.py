@@ -11,16 +11,14 @@ from pbdss import class_a
 from pbdss.class_a import (
     ClassASpec,
     UnrecoverableErasureError,
-    decode_multi_class_a,
-    encode_class_a,
     fault_tolerance,
     mds_generator,
     verify_mds,
     xi_threshold,
 )
 from pbdss.gf import FieldSpec, matrix_rank, solve_values
-from pbdss.layout import CodeArray, DataArray
-from pbdss.repair import CodeSpec
+from pbdss.layout import DataArray
+from pbdss.repair import CodeSpec, encode, repair_multi
 
 
 def brute_submatrix_check(alpha, n_a, k, field):
@@ -263,17 +261,16 @@ def test_piggyback_indices():
 
 
 def test_encode_zero_data(gf8):
-    spec = ClassASpec.build(7, 5, 1, gf8)
-    parities = encode_class_a(DataArray.zeros(gf8, 5), spec)
-    assert all(v == 0 for row in parities for v in row)
+    code = CodeSpec.build(5, 7, 5, 1, field=gf8)
+    assert not encode(code, DataArray.zeros(gf8, 5)).symbols.any()
 
 
 def test_encode_shapes_and_field_checks(gf8, gf11):
-    spec = ClassASpec.build(7, 5, 1, gf8)
+    code = CodeSpec.build(5, 7, 5, 1, field=gf8)
     with pytest.raises(ValueError):
-        encode_class_a(DataArray.zeros(gf11, 5), spec)
+        encode(code, DataArray.zeros(gf11, 5))
     with pytest.raises(ValueError):
-        encode_class_a(DataArray.zeros(gf8, 4), spec)
+        encode(code, DataArray.zeros(gf8, 4))
 
 
 @pytest.mark.parametrize(
@@ -302,41 +299,38 @@ def test_spec_validation():
         ClassASpec.build(7, 5, 2)  # tau > n_a - k - 1
 
 
-def encode_array(spec, data):
-    parities = encode_class_a(data, spec)
-    rows = [list(data.rows[i]) + parities[i] for i in range(spec.k)]
-    return CodeArray(spec.field, spec.k, spec.n_a, rows, [[False] * spec.n_a for _ in range(spec.k)])
+# A class-A code alone is the full code with no sum-parity node: n_b = k.
+
+
+def column(array, j):
+    return array.symbols[:, j].tolist()
 
 
 def test_decode_zero_erasures_identity(gf8):
-    spec = ClassASpec.build(7, 5, 1, gf8)
+    code = CodeSpec.build(5, 7, 5, 1, field=gf8)
     data = DataArray.random(gf8, 5, random.Random(0))
-    arr = encode_array(spec, data)
-    cols = decode_multi_class_a(arr, spec, set())
+    arr = encode(code, data)
+    assert repair_multi(arr, set(), code) == {}
     for j in range(5):
-        assert cols[j] == [data.rows[i][j] for i in range(5)]
+        assert repair_multi(arr, {j}, code) == {j: [data.rows[i][j] for i in range(5)]}
 
 
 def test_decode_all_two_node_patterns_7_5(gf8):
-    spec = ClassASpec.build(7, 5, 1, gf8)
+    code = CodeSpec.build(5, 7, 5, 1, field=gf8)
     data = DataArray.random(gf8, 5, random.Random(1))
+    stored = encode(code, data)
     for pattern in itertools.combinations(range(7), 2):
-        arr = encode_array(spec, data)
+        arr = stored.copy()
         arr.erase_nodes(pattern)
-        cols = decode_multi_class_a(arr, spec, set(pattern))
-        for j in pattern:
-            if j < 5:
-                assert cols[j] == [data.rows[i][j] for i in range(5)]
-            else:
-                assert cols[j] == [encode_class_a(data, spec)[i][j - 5] for i in range(5)]
+        assert repair_multi(arr, pattern, code) == {j: column(stored, j) for j in pattern}
 
 
 def test_decode_three_data_nodes_8_5(gf9):
-    spec = ClassASpec.build(8, 5, 1, gf9)
+    code = CodeSpec.build(5, 8, 5, 1, field=gf9)
     data = DataArray.random(gf9, 5, random.Random(2))
-    arr = encode_array(spec, data)
+    arr = encode(code, data)
     arr.erase_nodes({0, 2, 4})
-    cols = decode_multi_class_a(arr, spec, {0, 2, 4})
+    cols = repair_multi(arr, {0, 2, 4}, code)
     for j in (0, 2, 4):
         assert cols[j] == [data.rows[i][j] for i in range(5)]
 
@@ -345,44 +339,42 @@ def test_decode_rank_fallback_pattern():
     # Four adjacent data failures leave no run of two intact data nodes,
     # so the rotation schedule cannot order them; the elimination over every
     # surviving parity still decodes.
-    spec = ClassASpec.build(9, 5, 2)
-    data = DataArray.random(spec.field, 5, random.Random(3))
-    arr = encode_array(spec, data)
+    code = CodeSpec.build(5, 9, 5, 2)
+    data = DataArray.random(code.field, 5, random.Random(3))
+    arr = encode(code, data)
     arr.erase_nodes({0, 1, 2, 3})
-    cols = decode_multi_class_a(arr, spec, {0, 1, 2, 3})
+    cols = repair_multi(arr, {0, 1, 2, 3}, code)
     for j in range(4):
         assert cols[j] == [data.rows[i][j] for i in range(5)]
 
 
 def test_decode_exhaustive_up_to_f():
-    spec = ClassASpec.build(8, 5, 1)
+    code = CodeSpec.build(5, 8, 5, 1)
     f = fault_tolerance(8, 5, 1).f
-    data = DataArray.random(spec.field, 5, random.Random(4))
-    reference = encode_array(spec, data)
+    data = DataArray.random(code.field, 5, random.Random(4))
+    reference = encode(code, data)
     for t in range(1, f + 1):
         for pattern in itertools.combinations(range(8), t):
             arr = reference.copy()
             arr.erase_nodes(pattern)
-            cols = decode_multi_class_a(arr, spec, set(pattern))
-            for j in pattern:
-                assert cols[j] == [reference.rows[i][j] for i in range(5)]
+            assert repair_multi(arr, pattern, code) == {j: column(reference, j) for j in pattern}
 
 
 def test_decode_undecodable_raises():
-    spec = ClassASpec.build(7, 5, 1)
-    data = DataArray.random(spec.field, 5, random.Random(5))
-    arr = encode_array(spec, data)
+    code = CodeSpec.build(5, 7, 5, 1)
+    data = DataArray.random(code.field, 5, random.Random(5))
+    arr = encode(code, data)
     arr.erase_nodes({0, 1, 2})  # three failures exceed f = 2
     with pytest.raises(UnrecoverableErasureError) as exc:
-        decode_multi_class_a(arr, spec, {0, 1, 2})
+        repair_multi(arr, {0, 1, 2}, code)
     assert exc.value.rank is not None and exc.value.rank < 25
 
 
 def test_one_elimination_per_decode_and_none_in_encode(monkeypatch):
     """decode_plan solves a pattern with failed data nodes in one
     gf.eliminate, whether the rotation schedule orders it or not, and
-    encode_class_a replays a plan with neither a solve nor a product."""
-    spec = ClassASpec.build(9, 5, 2)
+    encode replays a plan with neither a solve nor a product."""
+    code = CodeSpec.build(5, 9, 5, 2)
     calls = []
     for name in ("eliminate", "matmul"):
         def counted(*args, _name=name, _real=getattr(class_a, name)):
@@ -393,10 +385,10 @@ def test_one_elimination_per_decode_and_none_in_encode(monkeypatch):
     # scheduled; not ordered by the schedule; scheduled with a parity re-encoded
     for pattern in ((0, 2), (0, 1, 2, 3), (1, 6)):
         calls.clear()
-        class_a.decode_plan(spec, pattern)
+        class_a.decode_plan(code, pattern)
         assert calls.count("eliminate") == 1, pattern
     calls.clear()
-    encode_class_a(DataArray.zeros(spec.field, 5), spec)
+    encode(code, DataArray.zeros(code.field, 5))
     assert calls == []
 
 
@@ -408,11 +400,12 @@ def test_json_roundtrip(gf8):
 
 
 def test_plain_mds_degenerate_tau_zero(gf8):
-    spec = ClassASpec.build(7, 5, 0, gf8)
-    assert list(spec.piggybacked_columns) == []
+    code = CodeSpec.build(5, 7, 5, 0, field=gf8)
+    assert list(code.class_a.piggybacked_columns) == []
     assert fault_tolerance(7, 5, 0).f == 2
     data = DataArray.random(gf8, 5, random.Random(6))
-    arr = encode_array(spec, data)
+    stored = encode(code, data)
+    arr = stored.copy()
     arr.erase_nodes({1, 6})
-    cols = decode_multi_class_a(arr, spec, {1, 6})
-    assert cols[1] == [data.rows[i][1] for i in range(5)]
+    cols = repair_multi(arr, {1, 6}, code)
+    assert cols == {1: [data.rows[i][1] for i in range(5)], 6: column(stored, 6)}

@@ -19,10 +19,8 @@ from hypothesis import strategies as st
 
 from pbdss.class_a import (
     PLAN_CACHE_SIZE,
-    ClassASpec,
     UnrecoverableErasureError,
     _rotation_parities,
-    decode_multi_class_a,
     decode_plan,
     fault_tolerance,
 )
@@ -371,9 +369,9 @@ def test_unordered_pattern_reads_every_surviving_parity():
     # (0, 1, 3) at (n_a, k, tau) = (9, 5, 3) needs piggyback shifts 1 and 2
     # but leaves no run of two intact data nodes, so the schedule cannot
     # order it: the elimination reads all four surviving parities
-    spec = ClassASpec.build(9, 5, 3)
-    assert _rotation_parities(spec, [0, 1, 3], [2, 4], {0, 1, 3}) is None
-    plan = decode_plan(spec, (0, 1, 3))
+    code = CodeSpec.build(5, 9, 5, 3)
+    assert _rotation_parities(code.class_a, [0, 1, 3], [2, 4], {0, 1, 3}) is None
+    plan = decode_plan(code, (0, 1, 3))
     assert plan.matrix is not None
     assert sorted({node for node, _ in plan.reads}) == [2, 4, 5, 6, 7, 8]
 
@@ -401,6 +399,6 @@ def test_undecodable_plan_reraises_from_cache(spec_10_5):
     raised = []
     for _ in range(2):
         with pytest.raises(UnrecoverableErasureError) as exc:
-            decode_multi_class_a(array, spec_10_5)
+            repair_multi(array, [0, 1, 2], spec_10_5)
         raised.append((str(exc.value), exc.value.rank, exc.value.needed))
     assert raised[0] == raised[1] == ("erasure pattern [0, 1, 2] is not decodable", 20, 25)

@@ -118,6 +118,21 @@ def test_code_array_get_erased():
         arr.get(0, 1)
 
 
+def test_code_array_refuses_indices_outside_the_array(spec_10_5):
+    """A negative index would mask or read the last node or row, and one
+    past the end would raise IndexError: both are ValueErrors instead."""
+    arr = encode(spec_10_5, DataArray.zeros(spec_10_5.field, 5))
+    for nodes in ([-1], [10], [13], [0, -1]):
+        with pytest.raises(ValueError, match="outside"):
+            arr.erase_nodes(nodes)
+        assert arr.erased_nodes == ()
+    for row, node in ((0, -1), (-1, 0), (5, 0), (0, 10)):
+        with pytest.raises(ValueError, match="outside"):
+            arr.get(row, node)
+    arr.erase_nodes([0, 9])
+    assert arr.erased_nodes == (0, 9)
+
+
 def test_code_array_mask_bits_little_endian():
     # bit k*n-order index i lives in byte i // 8 at bit i % 8, as the
     # format has always written it

@@ -234,14 +234,16 @@ def test_sharing_agrees_where_the_top_level_fails(n_a, k, tau):
 
 
 def test_search_needs_neither_the_closed_form_nor_the_schedulers(monkeypatch, spec_10_5):
-    """The exhaustive search and ml_decodable answer with the closed forms
-    and every scheduler made to raise, from forms built under the patch."""
+    """The exhaustive search, ml_decodable and ml_decode answer with the
+    closed forms, the encoder and every scheduler made to raise, from
+    forms built under the patch."""
+    stored = encode(spec_10_5, DataArray.random(spec_10_5.field, 5, random.Random(3)))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle consulted a closed form or a scheduler")
+        raise AssertionError("the oracle consulted a closed form, the encoder or a scheduler")
 
     banned = [(class_a, "fault_tolerance"), (metrics, "formula_bundle"), (class_a, "decode_plan"),
-              (class_a, "decode_multi_class_a"), (repair, "repair_plan"), (repair, "repair_data_node"),
+              (repair, "encode"), (repair, "repair_plan"), (repair, "repair_data_node"),
               (repair, "repair_parity_node"), (repair, "repair_multi"), (plan, "replay"), (plan, "execute")]
     for owner, attr in banned:
         monkeypatch.setattr(owner, attr, refuse)
@@ -249,6 +251,14 @@ def test_search_needs_neither_the_closed_form_nor_the_schedulers(monkeypatch, sp
     assert brute_force_fault_tolerance(spec_10_5) == brute_force_fault_tolerance(spec_10_5.class_a) == 2
     assert ml_decodable(spec_10_5, (0, 1)) and not ml_decodable(spec_10_5, range(6))
     assert brute_force_fault_tolerance(spec_10_5, processes=2) == 2
+    for pattern in ((0, 6, 9), (1, 2), (5, 7, 8)):
+        array = stored.copy()
+        array.erase_nodes(pattern)
+        assert ml_decode(spec_10_5, array, pattern) == {c: stored.symbols[:, c].tolist() for c in pattern}
+    array = stored.copy()
+    array.erase_nodes(range(6))
+    with pytest.raises(UnrecoverableErasureError):
+        ml_decode(spec_10_5, array, range(6))
     assert not {attr for _, attr in banned} & set(vars(oracle))
 
 
@@ -295,6 +305,16 @@ def test_ml_decode_raises_on_undecodable(spec_10_5):
     arr.erase_nodes(bad)
     with pytest.raises(UnrecoverableErasureError):
         ml_decode(spec_10_5, arr, bad)
+
+
+@pytest.mark.parametrize("node", [-1, 10, 13])
+def test_ml_decode_refuses_a_node_outside_the_code(spec_10_5, node):
+    """A node outside [0, n) is neither read as the last node nor indexed
+    past the array: ml_decode refuses it, as ml_decodable does."""
+    arr = encode(spec_10_5, DataArray.random(spec_10_5.field, 5, random.Random(2)))
+    for check in (ml_decodable, lambda code, pattern: ml_decode(code, arr, pattern)):
+        with pytest.raises(ValueError, match="erased node index out of range"):
+            check(spec_10_5, {0, node})
 
 
 def test_min_read_mds_only():

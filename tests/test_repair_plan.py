@@ -455,9 +455,10 @@ def test_execute_returns_independent_traces(spec_10_5):
         _assert_immutable(back, node)
         assert back == pristine and back.to_json() == first.to_json(), (node, erased)
     assert repair_plan(code, None, ()).trace is None
+    bare = CodeSpec(code.field, code.class_a, construct1_parities(code.k, code.n_a, code.k, code.tau))
     for erased in ((0,), (0, 1), (5, 7), (0, 1, 2)):  # (0, 1, 2) is undecodable
         assert decode_plan(code, erased).trace is None
-        assert decode_plan(code.class_a, tuple(x for x in erased if x < code.n_a)).trace is None
+        assert decode_plan(bare, tuple(x for x in erased if x < code.n_a)).trace is None
     with pytest.raises(ValueError, match="read trace"):
         execute(decode_plan(code, (0,)), stored)
 
