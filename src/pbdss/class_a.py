@@ -366,8 +366,8 @@ def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
     gen = _generator(code)
     # erased parity symbols over the data, read node by node
     forms = gen[list(erased[len(failed) :])].reshape(-1, k, k)
-    matrix = _over(forms, alive)
-    slots = alive
+    slots = alive if len(erased) else []  # an empty pattern reads nothing
+    matrix = _over(forms, slots)
     if failed:
         parities = _rotation_parities(code.class_a, failed, alive, lost_nodes) or [
             c for c in range(k, n_a) if c not in lost_nodes

@@ -11,6 +11,10 @@ two exact facts.  Counting: t erasures leave (n - t) * k symbols, fewer
 than the k^2 unknowns once t > n - k.  Monotonicity: a pattern that
 decodes still decodes with fewer erasures.  So the search starts at
 t = n - k and walks down to the first level whose patterns all decode.
+The gather indices of each level's patterns depend on the shape alone,
+never on the code or its field, so they are built once per (k, n - k,
+d, e) and cached read-only (_stacks), which speeds up a repeated search
+of the same k and n - k.
 Minimal-read repair is branch-and-bound over read sets.  None of it
 reuses the scheduling logic it is meant to check, nor the closed-form
 fault tolerance.
@@ -79,12 +83,27 @@ def ml_decodable(code, pattern) -> bool:
 
 
 def _ml_decodable_rows(code, forms: np.ndarray, pattern) -> bool:
+    """Decodability of one erasure pattern from the code's parity forms.
+
+    Surviving data nodes give their symbols outright, so a pattern is
+    decodable iff the forms of its surviving parity nodes, restricted to
+    the d * k symbols of its d erased data nodes, have full column rank.
+    With no erased data node there is nothing to solve for; with fewer
+    surviving parity nodes than erased data nodes there are fewer rows
+    than unknowns.  Neither needs a rank.
+    """
     k = code.k
+    m = len(forms) // k  # parity nodes
     pattern = sorted(set(pattern))
-    if any(not 0 <= x < k + len(forms) // k for x in pattern):
+    if any(not 0 <= x < k + m for x in pattern):
         raise ValueError("erased node index out of range")
     d = sum(x < k for x in pattern)
-    return bool(_decodable(code, forms, np.array([pattern], dtype=np.int64), d)[0])
+    if d == 0:
+        return True
+    if m - (len(pattern) - d) < d:
+        return False
+    rows, cols = _gather(k, m, np.array([pattern], dtype=np.int64), d)
+    return bool(batch_rank(code.field, forms[rows, cols])[0] == d * k)
 
 
 @functools.lru_cache(maxsize=16)  # a few codes per process, as for field tables
@@ -97,31 +116,54 @@ def _parity_forms(code) -> np.ndarray:
     return forms
 
 
-def _decodable(code, forms: np.ndarray, patterns: np.ndarray, d: int) -> np.ndarray:
-    """Decodability of a (B, t) stack of sorted erasure patterns, each of
-    which erases d data nodes (so they lead it) and t - d parity nodes.
+def _gather(k: int, m: int, patterns: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices into the parity forms for a (B, t) stack of sorted
+    erasure patterns, each of which erases d data nodes (so they lead it)
+    and t - d of the m parity nodes.
 
-    Surviving data nodes give their symbols outright, so a pattern is
-    decodable iff the forms of its surviving parity nodes, restricted to
-    the d * k symbols of its erased data nodes, have full column rank.
-    Symbol (i, j) is variable i * k + j.  With no erased data node there
-    is nothing to solve for; with fewer surviving parity nodes than erased
-    data nodes there are fewer rows than unknowns.  Neither needs a rank.
+    rows (B, live * k, 1) are the form rows of the live parity nodes
+    each pattern leaves, node by node; cols (B, 1, d * k) are the
+    variables of its erased data nodes, symbol (i, j) being variable
+    i * k + j.  forms[rows, cols] is then the (B, live * k, d * k) stack
+    whose ranks decide the patterns.
     """
-    k = code.k
-    m = len(forms) // k  # parity nodes
     b, t = patterns.shape
     live = m - (t - d)
-    if d == 0:
-        return np.ones(b, dtype=bool)
-    if live < d:
-        return np.zeros(b, dtype=bool)
     alive = np.ones((b, m), dtype=bool)
     alive[np.arange(b)[:, None], patterns[:, d:] - k] = False
     parities = np.nonzero(alive)[1].reshape(b, live)
-    rows = (parities[:, :, None] * k + np.arange(k)).reshape(b, live * k)
-    cols = (patterns[:, :d, None] + np.arange(k) * k).reshape(b, d * k)
-    return batch_rank(code.field, forms[rows[:, :, None], cols[:, None, :]]) == d * k
+    rows = (parities[:, :, None] * k + np.arange(k)).reshape(b, live * k, 1)
+    cols = (patterns[:, :d, None] + np.arange(k) * k).reshape(b, 1, d * k)
+    return rows, cols
+
+
+# Pattern stacks are cached per (k, m, d, e).  One search ranks each group
+# at most once, so the cache pays only when a later search in the same
+# process has the same k and n - k.  A cold `verify` meets that only across
+# the tau values of one (k, n_a), which 4 entries catch; repeated searches
+# of the 7 benchmark sweep shapes with n_a <= 8 reach 16 groups.  Worst
+# case: the 32 largest groups of codes with n <= EXHAUSTIVE_MAX_N take
+# 51.9 MiB together.
+STACK_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=STACK_CACHE_SIZE)
+def _stacks(k: int, m: int, d: int, e: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The gather indices of every pattern of d of the k data nodes and e
+    of the m parity nodes, in lexicographic order, cut into the chunks one
+    batch_rank step takes: (rows, cols) per chunk, as _gather gives them.
+
+    They depend on the shape alone, never on the code or its field, so
+    every code with the same k and n - k shares them; they are read-only.
+    As intp indices the largest group of a code with n <= 16,
+    (k, m, d, e) = (9, 7, 4, 3), takes 2.4 MiB; the 16 groups of the
+    timed sweep shapes take 0.025 MiB together.
+    """
+    patterns = _group(k, m, d, e)
+    rows, cols = _gather(k, m, patterns, d)
+    rows.flags.writeable = cols.flags.writeable = False
+    size = rank_batch_len((m - e) * k, d * k)
+    return tuple((rows[lo : lo + size], cols[lo : lo + size]) for lo in range(0, len(patterns), size))
 
 
 def _level_decodable(code, forms: np.ndarray, t: int, share: int = 0, shares: int = 1) -> bool:
@@ -129,18 +171,20 @@ def _level_decodable(code, forms: np.ndarray, t: int, share: int = 0, shares: in
 
     The patterns are grouped by d, the number of erased data nodes, most
     first (on the sweep shapes that order meets an undecodable pattern
-    soonest), and each group is checked in chunks of one batch_rank step.
-    The chunks are numbered across the groups; a worker of a pool of
-    `shares` takes every shares-th chunk from number `share`.
+    soonest), and each group is checked in chunks of one batch_rank step:
+    a chunk decodes where the forms its gather indices pick have rank
+    d * k.  The indices come from _stacks, built once per (k, m, d, e) and
+    shared by every code of that shape, so a repeated search skips
+    building them; at most STACK_CACHE_SIZE groups are kept.  The chunks
+    are numbered across the groups; a worker of a pool of `shares` takes every
+    shares-th chunk from number `share`.
     """
     k = code.k
     m = len(forms) // k
     number = 0
     for d in range(min(t, k), max(t - m, 1) - 1, -1):  # d = 0 leaves nothing to solve for
-        patterns = _group(k, m, d, t - d)
-        size = rank_batch_len((m - t + d) * k, d * k)
-        for lo in range(0, len(patterns), size):
-            if number % shares == share and not _decodable(code, forms, patterns[lo : lo + size], d).all():
+        for rows, cols in _stacks(k, m, d, t - d):
+            if number % shares == share and not (batch_rank(code.field, forms[rows, cols]) == d * k).all():
                 return False
             number += 1
     return True

@@ -58,4 +58,4 @@ def test_every_command_parses():
     for argv in argvs:
         parsers[argv[0]].parse_args(argv[1:])
     assert {argv[0] for argv in argvs} == set(parsers)
-    assert len(argvs) == 8 * len(cli_parity.SHAPES) + 5
+    assert len(argvs) == 8 * len(cli_parity.SHAPES) + 6

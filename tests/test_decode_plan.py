@@ -376,6 +376,13 @@ def test_unordered_pattern_reads_every_surviving_parity():
     assert sorted({node for node, _ in plan.reads}) == [2, 4, 5, 6, 7, 8]
 
 
+def test_empty_pattern_reads_nothing(spec_10_5):
+    plan = decode_plan(spec_10_5, ())
+    assert plan.reads == () and plan.matrix.shape == (0, 0)
+    array = encode(spec_10_5, DataArray.random(spec_10_5.field, 5, random.Random(6)))
+    assert repair_multi(array, [], spec_10_5) == {}
+
+
 def test_masked_node_outside_failed_is_not_read(spec_10_5):
     data = DataArray.random(spec_10_5.field, 5, random.Random(4))
     stored = encode(spec_10_5, data)

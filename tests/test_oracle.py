@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from pbdss import class_a, metrics, oracle, plan, repair
+from pbdss import class_a, cli, metrics, oracle, plan, repair
 from pbdss.class_a import ClassASpec, UnrecoverableErasureError, fault_tolerance, verify_mds
 from pbdss.gf import FieldSpec, batch_rank, matrix_rank
 from pbdss.layout import DataArray
@@ -195,27 +195,75 @@ def test_search_reaches_the_counting_bound():
 @pytest.mark.parametrize("shares", [1, 2, 3])
 def test_level_chunks_split_between_shares(monkeypatch, shares):
     """The shares of a level rank disjoint chunks that together cover
-    every pattern needing a rank: each one erasing at least one data node."""
+    every pattern needing a rank: each one erasing at least one data node.
+
+    The level is searched over stand-in forms whose every entry is its own
+    position, so each ranked stack shows which form rows and variables it
+    gathered: the rows of the pattern's surviving parity nodes and the
+    variables of its erased data nodes.  The stand-in rank is the code's
+    rank of the forms at those positions."""
     code = _search_code("11-7")
-    forms = oracle._parity_forms(code)
-    decodable, rank = oracle._decodable, oracle.batch_rank
+    k, forms = code.k, oracle._parity_forms(code)
+    m = len(forms) // k
+    where = np.arange(forms.size).reshape(forms.shape)
+    rank = oracle.batch_rank
     for t in range(1, 4):  # the code's fault tolerance is 3, so no share stops early
         seen, ranked = [], []
 
-        def record(code, forms, patterns, d):
-            seen[-1].extend(map(tuple, patterns.tolist()))
-            return decodable(code, forms, patterns, d)
+        def record(field, mats):
+            rows, cols = np.divmod(mats, k * k)
+            for r, c in zip(rows, cols):
+                data = sorted(set((c % k).ravel().tolist()))
+                live = sorted(set((r // k).ravel().tolist()))
+                assert sorted(r[:, 0].tolist()) == [p * k + i for p in live for i in range(k)]
+                assert sorted(c[0].tolist()) == sorted(i * k + x for x in data for i in range(k))
+                seen[-1].append(tuple(data + [k + p for p in range(m) if p not in live]))
+            ranked.append(len(mats))
+            return rank(field, forms[rows, cols])
 
-        monkeypatch.setattr(oracle, "_decodable", record)
-        monkeypatch.setattr(oracle, "batch_rank",
-                            lambda field, mats: ranked.append(len(mats)) or rank(field, mats))
+        monkeypatch.setattr(oracle, "batch_rank", record)
         for share in range(shares):
             seen.append([])
-            assert oracle._level_decodable(code, forms, t, share, shares)
+            assert oracle._level_decodable(code, where, t, share, shares)
         every = [p for part in seen for p in part]
         assert len(every) == len(set(every)) == sum(ranked), t
         assert set(every) == {p for p in itertools.combinations(range(code.n), t) if p[0] < code.k}, t
     assert all(seen)  # the last level has five chunks, so every share ranks some
+
+
+def test_pattern_stacks_are_read_only_and_shared_by_codes(gf8):
+    """The cached gather indices depend on (k, n - k) alone: two codes of
+    one shape, searched in either order from a cold cache, each get their
+    own fault tolerance, and no stack can be written."""
+    codes = [ClassASpec.build(7, 4, 1, gf8), ClassASpec.build(7, 4, 2, gf8)]
+    for order in (codes, codes[::-1]):
+        oracle._stacks.cache_clear()
+        assert {code.tau: brute_force_fault_tolerance(code) for code in order} == {1: 3, 2: 2}
+    info = oracle._stacks.cache_info()
+    assert info.hits and info.currsize == info.misses  # the second code reused the first one's stacks
+    for rows, cols in oracle._stacks(4, 3, 2, 1):
+        for index in (rows, cols):
+            with pytest.raises(ValueError):
+                index[0] = 0
+
+
+def test_pool_search_agrees_after_the_cache_is_warm(spec_10_5):
+    f = brute_force_fault_tolerance(spec_10_5, processes=1)
+    assert oracle._stacks.cache_info().currsize
+    assert brute_force_fault_tolerance(spec_10_5, processes=2) == f == 2
+
+
+def test_stack_cache_holds_a_verify_run(monkeypatch, capsys):
+    """`verify --max-k 8` builds each of its groups once, and the cache
+    stays within its bound.  A cold run reuses a group only across the tau
+    values of one (k, n_a): 33 of its 90 lookups."""
+    stacks, keys = oracle._stacks, []
+    monkeypatch.setattr(oracle, "_stacks", lambda *key: keys.append(key) or stacks(*key))
+    stacks.cache_clear()
+    assert cli.main(["verify", "--max-k", "8"]) == 0
+    info = stacks.cache_info()
+    assert (info.hits, info.misses) == (len(keys) - len(set(keys)), len(set(keys))) == (33, 57)
+    assert info.currsize <= oracle.STACK_CACHE_SIZE
 
 
 @pytest.mark.parametrize("n_a,k,tau", [(7, 4, 2), (8, 5, 2)])

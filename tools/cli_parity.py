@@ -17,10 +17,11 @@ The commands: on the six `cli_pipeline` shapes of perfbench plus (9,5) over
 GF(3^2), `construct --out`, `encode --seed`, `repair-sim --array
 --trace-out`, `repair-sim --nodes`, `repair-sim --punctured`, with and
 without `--trace-out`, `repair-sim --array --node 0 --trace-out` and
-`parity-sim`; then `tables` 2 and 3 in CSV and in JSON, and `verify
---quick`.  Like `bench_pairs.py`, it needs two trees, so it is not part of
-the test suite; `tests/test_cli_parity.py` checks `compare` on synthetic
-records.
+`parity-sim`; then `tables` 2 and 3 in CSV and in JSON, `verify --quick`
+and `verify --max-k 7`, which searches every shape that the benchmark's
+`verify_sweep` searches.  Like `bench_pairs.py`, it needs two trees, so it
+is not part of the test suite; `tests/test_cli_parity.py` checks `compare`
+on synthetic records.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def commands() -> list[list[str]]:
             ["parity-sim", "--spec", spec, "--seed", "3"],
         ]
     out += [["tables", "--table", table, "--format", fmt] for table in ("2", "3") for fmt in ("csv", "json")]
-    out.append(["verify", "--quick"])
+    out += [["verify", "--quick"], ["verify", "--max-k", "7"]]
     return out
 
 
