@@ -5,8 +5,8 @@ MDS code applied row by row.  The last tau parity columns then each absorb
 one extra data symbol per row (a piggyback), which later lets a repair
 recover tau column symbols at one additional read each.  Piggybacks cost
 fault tolerance; fault_tolerance() quantifies exactly how much.
-decode_plan compiles the decode of an erasure pattern of a full CodeSpec,
-which repair.repair_multi replays.
+decode_plan compiles the decode of an erasure pattern of a full CodeSpec
+from its generator; repair.repair_multi and repair.encode replay them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .gf import (
     smallest_field_of_order_at_least,
 )
 from .plan import PLAN_CACHE_SIZE, RepairPlan, positions
-from .plan import UnrecoverableErasureError  # raised by a replayed DecodePlan; callers import it from here
+from .plan import UnrecoverableErasureError  # raised by a replayed undecodable plan; callers import it from here
 
 EXHAUSTIVE_SUBMATRIX_LIMIT = 10**5
 RANDOM_SUBMATRIX_TRIALS = 10**4
@@ -55,7 +55,7 @@ def fault_tolerance(n_a: int, k: int, tau: int) -> FaultToleranceReport:
     acceptance sweep (4 <= k <= 8, n_a <= k + 4).  f is a guarantee, not
     the exact tolerance: that depends on the MDS coefficients alpha and may
     be higher.  The shortened-RS defaults tolerate f + 1 failures at
-    (k, n_a, tau) = (5, 9, 2), (5, 9, 3) and (7, 11, 2).
+    (k, n_a, tau) = (5, 9, 2), (5, 9, 3), (7, 11, 2) and (11, 15, 3).
 
     Caveat where xi is an integer, e.g. (k, n_a, tau) = (6, 9, 2),
     (6, 10, 3) and (8, 12, 2): the rotation schedule cannot order f
@@ -242,19 +242,6 @@ def _verified_mds(alpha: tuple[tuple[int, ...], ...], n_a: int, k: int, field: F
     verify_mds(alpha, n_a, k, field)
 
 
-@dataclass(frozen=True, eq=False)
-class DecodePlan(RepairPlan):
-    """The decode of one erasure pattern, as a GF(q) linear map.
-
-    Row s * k + i of `matrix` gives symbol i of node nodes[s] as a
-    combination of the symbols read, whole nodes in `reads` order.
-    `matrix` is None when the pattern is not decodable; `rank` is then
-    the rank of the surviving class-A symbols over the k^2 data symbols.
-    """
-
-    nodes: tuple[int, ...] = ()
-
-
 def _compact(field: FieldSpec):
     """The smallest unsigned dtype holding every element of the field.
 
@@ -284,14 +271,14 @@ def _generator(code) -> np.ndarray:
     symbol i of node c: a data symbol, an MDS row plus its piggyback, or
     a sum.
     """
-    k, n_a, tau = code.k, code.n_a, code.tau
+    k, n_a = code.k, code.n_a
     rows = np.arange(k)
     gen = np.zeros((code.n, k, k, k), dtype=_compact(code.field))
     gen[rows[:, None], rows, rows[:, None], rows] = 1
     gen[k:n_a, rows, :, rows] = np.array(code.class_a.alpha).T
     for c in code.class_a.piggybacked_columns:
-        t = c - (n_a - tau - 1)  # symbol i absorbs data symbol ((i + t) % k, i)
-        gen[c, rows, rows, (rows + t) % k] = 1
+        r, j = code.class_a.piggyback_source(rows, c)
+        gen[c, rows, j, r] = 1
     for c in range(n_a, code.n):
         for t, par in enumerate(code.class_b.node_parities(c)):
             for r, j in par:
@@ -331,33 +318,36 @@ def _rotation_parities(spec: ClassASpec, failed: list[int], alive: list[int], er
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def decode_plan(code, erased: tuple[int, ...]) -> DecodePlan:
+def decode_plan(code, erased: tuple[int, ...]) -> RepairPlan:
     """Compile the decode of one erasure pattern; cached by value.
 
-    `code` is a CodeSpec (pbdss.repair); `erased` lists the erased nodes
-    in increasing order.  The lost data symbols come from one elimination
-    over the class-A parity nodes that the rotation schedule reads
-    (_rotation_parities), or over every surviving class-A parity where
-    the schedule cannot order the pattern.  Where it can, its phi nodes
-    give k^2 reads for the k^2 data symbols, so the decode matrix is the
-    one solution of a square system.  Each erased parity symbol is its
-    generator form over the data, with every lost data symbol replaced by
-    its own form, so erased sum-parity nodes are re-encoded too: they
-    never take part in correction.
+    `code` is a CodeSpec (pbdss.repair); `erased` lists the erased nodes in
+    increasing order.  Row s * k + i of the matrix is symbol i of node
+    erased[s] over the reads; the matrix is None when the pattern is not
+    decodable, `rank` then the rank of the surviving class-A symbols.  With
+    only parity nodes erased it is their generator rows (encode replays
+    those of every parity node).  The lost data symbols come from one
+    elimination over the class-A parity nodes that the rotation schedule
+    reads (_rotation_parities), or over every surviving class-A parity where
+    the schedule cannot order the pattern.  Where it can, its phi nodes give
+    k^2 reads for the k^2 data symbols, so the decode matrix is the one
+    solution of a square system.  Each erased parity symbol is its generator
+    form over the data, with every lost data symbol replaced by its own
+    form, so erased sum-parity nodes are re-encoded too: they never take
+    part in correction.
     """
     f, k, n_a = code.field, code.k, code.n_a
     compact = _compact(f)
     at = positions(code.n, k)
 
-    def plan(slots: list[int], matrix, rank: int) -> DecodePlan:
-        return DecodePlan(
+    def plan(slots: list[int], matrix, rank: int) -> RepairPlan:
+        return RepairPlan(
             f,
             tuple(at[node][row] for node in slots for row in range(k)),
             matrix,
             error=f"erasure pattern {[j for j in erased if j < n_a]} is not decodable",
             rank=rank,
             needed=k * k,
-            nodes=erased,
         )
 
     lost_nodes = set(erased)

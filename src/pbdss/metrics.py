@@ -6,7 +6,7 @@ size in bits.  The closed forms evaluate the asymptotic expressions as
 exact operation counts, which is how the reference tables were produced;
 for the sequential construction the repair/encode counts are exact, for
 the heuristic they are upper bounds.  The measured figures are read off
-the compiled repair and encode plans (repair.repair_plan): their read
+the compiled single-node repair plans (repair.repair_plan): their read
 traces and the operation totals of their stages, with no data.
 """
 
@@ -127,14 +127,15 @@ def measured_lambda(spec: CodeSpec):
 
 def measured_complexity(spec: CodeSpec) -> dict:
     """Bit-operation counts of encode and of each data-node repair: the
-    totals of the compiled plans' stages."""
+    totals of the compiled plans' stages, encode's those of the
+    parity-node plans (each parity symbol from the data)."""
     code, nu = _interned(spec), spec.field.bits
 
-    def bit_ops(node: int | None) -> int:
+    def bit_ops(node: int) -> int:
         plan = repair_plan(code, node, ())
         return OpCounter(plan.adds, plan.muls).bit_ops(nu)
 
-    encode_bits = bit_ops(None)
+    encode_bits = sum(bit_ops(c) for c in range(spec.k, spec.n))
     repair_totals = [bit_ops(j) for j in range(spec.k)]
     avg_repair = sum(repair_totals) / spec.k
     return {

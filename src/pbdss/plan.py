@@ -1,9 +1,10 @@
 """Compiled repair plans and the one executor that replays them.
 
-A repair, an encode or a multi-node decode does the same arithmetic
-whatever the data, so each is compiled once into a RepairPlan: the
-symbols it reads, in read order, and one GF(q) matrix from those reads to
-the symbols it outputs.  When a plan is built, its matrix is also
+A single-node repair, or the decode of an erasure pattern (multi-node
+repair, and encode, the decode of every parity node), does the same
+arithmetic whatever the data, so each is compiled once into a RepairPlan:
+the symbols it reads, in read order, and one GF(q) matrix from those
+reads to the symbols it outputs.  When a plan is built, its matrix is also
 compiled into the form the executor streams (Terms): the logs of its
 nonzero coefficients, the read each one multiplies, and where each
 output's terms start.  The first replay over an array of a given width
@@ -36,7 +37,8 @@ NodePos = tuple[int, int]  # (node, row)
 # Decode plans are cached by value, one per erasure pattern (and the
 # PBDSS1 reader's unpacked masks with them).  The bound holds every
 # pattern of up to three erased nodes of a 16-node code (16 + 120 + 560),
-# the longest code the exhaustive oracle takes.
+# the longest code the exhaustive oracle takes.  Each code's encode plan
+# also sits here, kept warm by LRU as every encode looks it up.
 PLAN_CACHE_SIZE = sum(math.comb(16, t) for t in range(1, 4))
 
 
@@ -116,8 +118,9 @@ class Stage:
 
     A source is a stored symbol, or the output of an earlier stage of the
     same plan; walking the stages through a ReadTrace gives the sources
-    each one reads for the first time.  `adds` and `muls` count the field
-    operations the schedule spends on this symbol.
+    each one reads for the first time.  `adds` (one fewer than the terms)
+    and `muls` count the field operations the schedule spends on this
+    symbol.
     """
 
     kind: str  # row-mds, piggyback, sum, fallback, mds-parity, sum-parity or decode
@@ -125,8 +128,11 @@ class Stage:
     parity: NodePos | None  # the parity symbol the stage solves through, if any
     coeffs: tuple[int, ...]
     sources: tuple[NodePos, ...]
-    adds: int
     muls: int
+
+    @property
+    def adds(self) -> int:
+        return max(len(self.sources) - 1, 0)
 
 
 class Terms(NamedTuple):
@@ -170,8 +176,8 @@ class RepairPlan:
     operation counts.  `trace` is the read trace a repair session logged
     while it was compiled (the session cache holds the reads and, in a
     data-node session, the repaired symbols too), frozen; execute returns
-    it itself.  Only single-node repair plans carry one: encode and decode
-    plans are replayed, never executed.  `terms` (the matrix as replay
+    it itself.  Only single-node repair plans carry one: decode plans,
+    encode's among them, are replayed, never executed.  `terms` (the matrix as replay
     streams it) and the totals `adds` and `muls` of the stages are derived
     once, when the plan is built; `offsets` maps each stored-array width
     the plan has been replayed over to the flat intp offset of every

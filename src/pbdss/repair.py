@@ -6,7 +6,8 @@ read again.  A schedule does the same arithmetic whatever the data, so it
 runs once per (code, target node, erased-node set), on symbolic stages,
 and is compiled into a RepairPlan that plan.execute replays.  The
 per-node bandwidth figures all come from the ReadTrace of that plan, and
-the operation counts from its stages, never from closed forms.
+the operation counts from its stages, never from closed forms.  Encode
+and multi-node repair replay class_a.decode_plan plans instead.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .layout import CodeArray, DataArray, q_set
 from .plan import NodePos, ReadTrace, RepairPlan, Stage, execute, positions, replay
 
 # Plans are cached by value.  The bound holds the unmasked plans (one per
-# node, plus encode) of as many codes as class_a._interned keeps, 16, at up
-# to 31 nodes each: n <= 3k - tau - 2 reaches 31 at k = 11.
-REPAIR_PLAN_CACHE_SIZE = 16 * 32
+# node) of as many codes as class_a._interned keeps, 16, at up to 31 nodes
+# each: n <= 3k - tau - 2 reaches 31 at k = 11.
+REPAIR_PLAN_CACHE_SIZE = 16 * 31
 
 
 @dataclass(frozen=True)
@@ -149,15 +150,16 @@ def _check_json(value, schema, where: str) -> None:
 def encode(spec: CodeSpec, data: DataArray) -> CodeArray:
     """Systematic columns, then MDS/piggyback parities, then sum parities.
 
-    Replays the encode plan, every parity symbol from the data, and builds
-    no read trace; its operation counts are that plan's totals.
+    Replays the decode plan of every parity node (class_a.decode_plan):
+    with no data node erased, the generator's parity block.  It builds no
+    read trace; the encode counts are the parity-node plans' totals.
     """
     if data.field != spec.field:
         raise ValueError("data array and spec use different fields")
     if data.k != spec.k:
         raise ValueError("data array dimension does not match spec")
     k, n = spec.k, spec.n
-    plan = repair_plan(_interned(spec), None, ())
+    plan = decode_plan(_interned(spec), tuple(range(k, n)))
     symbols = np.empty((k, n), dtype=np.uint16)
     symbols[:, :k] = data.symbols
     symbols[:, k:] = replay(plan, data.symbols).reshape(n - k, k).T
@@ -186,8 +188,8 @@ class _Session:
     """One repair session run on symbols: its stages and its read trace.
 
     In a data-node session every recovered symbol joins the cache and
-    counts the reads it issued; in a parity-node session (or encode) each
-    symbol is an independent download and counts every term it takes.
+    counts the reads it issued; in a parity-node session each symbol is an
+    independent download and counts every term it takes.
     """
 
     def __init__(self, spec: CodeSpec, erased, independent: bool):
@@ -198,13 +200,12 @@ class _Session:
         self.trace = ReadTrace()
         self.stages: list[Stage] = []
 
-    def stage(self, kind: str, symbol: NodePos, parity: NodePos | None, coeffs, sources, adds: int,
-              muls: int) -> None:
+    def stage(self, kind: str, symbol: NodePos, parity: NodePos | None, coeffs, sources, muls: int) -> None:
         trace = self.trace
         if any(pos[0] in self.lost and pos not in trace.cache for pos in sources):
             raise _ReadsErased
         issued = sum(trace.read(*pos) for pos in sources)
-        self.stages.append(Stage(kind, symbol, parity, tuple(coeffs), tuple(sources), adds, muls))
+        self.stages.append(Stage(kind, symbol, parity, tuple(coeffs), tuple(sources), muls))
         if self.independent:
             trace.per_symbol[symbol] = len(sources)
         else:
@@ -220,7 +221,7 @@ class _Session:
         siblings = [c for c in ((row + off) % k for off in range(1, k + 1)) if c != col]
         coeffs = [f.neg(f.mul(inv, alpha[c])) for c in siblings] + [inv]
         sources = [at[c][row] for c in siblings] + [at[k][row]]
-        self.stage(kind, at[col][row], at[k][row], coeffs, sources, k - 1, k)
+        self.stage(kind, at[col][row], at[k][row], coeffs, sources, k)
 
     def via_sum_parity(self, i: int, j: int) -> bool:
         """d[i][j] through the covering sum parity with the fewest uncached
@@ -244,8 +245,7 @@ class _Session:
         node = -neg_node
         others = [at[c][r] for r, c in b.node_parities(node)[t] if (r, c) != (i, j)]
         minus = self.f.neg(1)
-        self.stage("sum", at[j][i], at[node][t], [1] + [minus] * len(others), [at[node][t]] + others,
-                   len(others), 0)
+        self.stage("sum", at[j][i], at[node][t], [1] + [minus] * len(others), [at[node][t]] + others, 0)
         return True
 
     def data_node(self, j: int) -> None:
@@ -257,7 +257,7 @@ class _Session:
             pig_row = spec.class_a.piggyback_source(j, u)[0]
             coeffs = [1] + [f.neg(a[u - k]) for a in spec.class_a.alpha]
             sources = [at[u][j]] + [at[l][j] for l in range(k)]
-            self.stage("piggyback", at[j][pig_row], at[u][j], coeffs, sources, k, k)
+            self.stage("piggyback", at[j][pig_row], at[u][j], coeffs, sources, k)
         deferred = [i for i, _ in q_set(j, k, spec.tau)]
         for _ in range(2):
             deferred = [i for i in deferred if not self.via_sum_parity(i, j)]
@@ -271,8 +271,7 @@ class _Session:
         spec, k, n_a, at = self.spec, self.spec.k, self.spec.n_a, self.at
         if node >= n_a:
             for t, par in enumerate(spec.class_b.node_parities(node)):
-                self.stage("sum-parity", at[node][t], None, [1] * len(par), [at[c][r] for r, c in par],
-                           max(len(par) - 1, 0), 0)
+                self.stage("sum-parity", at[node][t], None, [1] * len(par), [at[c][r] for r, c in par], 0)
             return
         for i in range(k):
             coeffs = [a[node - k] for a in spec.class_a.alpha]
@@ -281,16 +280,16 @@ class _Session:
                 r, c = spec.class_a.piggyback_source(i, node)
                 coeffs.append(1)
                 sources.append(at[c][r])
-            self.stage("mds-parity", at[node][i], None, coeffs, sources, len(sources) - 1, k)
+            self.stage("mds-parity", at[node][i], None, coeffs, sources, k)
 
-    def plan(self, traced: bool = True) -> RepairPlan:
+    def plan(self) -> RepairPlan:
         """Compose the stages into one matrix from the reads to the outputs.
 
         Each output is a sparse form over the reads: a stored source
         contributes its read, a source that an earlier stage recovered
         contributes that stage's form.  Matrix rows follow the (node, row)
-        order of the outputs.  When `traced` (a single-node repair), the
-        plan keeps the session's read trace, frozen, for execute to return.
+        order of the outputs.  The plan keeps the session's read trace,
+        frozen, for execute to return.
         """
         f, trace = self.f, self.trace
         reads = tuple(trace.reads)
@@ -311,48 +310,45 @@ class _Session:
             values += forms[symbol].values()
         matrix = np.zeros((len(forms), len(reads)), dtype=_compact(f))
         matrix[rows, cols] = values
-        return RepairPlan(f, reads, matrix, tuple(self.stages), trace.frozen() if traced else None)
+        return RepairPlan(f, reads, matrix, tuple(self.stages), trace.frozen())
 
 
 def _escalate(spec: CodeSpec, node: int, erased: tuple[int, ...]) -> RepairPlan:
     """The target's rows of the decode plan of erased + target, as one
     decode stage per symbol over the symbols those rows use."""
     k = spec.k
-    decode = decode_plan(spec, tuple(sorted((*erased, node))))
+    pattern = tuple(sorted((*erased, node)))
+    decode = decode_plan(spec, pattern)
     if decode.matrix is None:
         return RepairPlan(spec.field, (), None, error=decode.error, rank=decode.rank, needed=decode.needed)
-    s = decode.nodes.index(node)
+    s = pattern.index(node)
     rows = decode.matrix[s * k : (s + 1) * k].tolist()
     session = _Session(spec, (), independent=node >= k)
     for i, row in enumerate(rows):
         used = [t for t, c in enumerate(row) if c]
         session.stage("decode", session.at[node][i], None, [row[t] for t in used],
-                      [decode.reads[t] for t in used], max(len(used) - 1, 0), len(used))
+                      [decode.reads[t] for t in used], len(used))
     return session.plan()
 
 
 @functools.lru_cache(maxsize=REPAIR_PLAN_CACHE_SIZE)
-def repair_plan(code: CodeSpec, node: int | None, erased: tuple[int, ...]) -> RepairPlan:
-    """Compile the repair of `node` with `erased` (sorted) lost too; cached by value.
+def repair_plan(code: CodeSpec, node: int, erased: tuple[int, ...]) -> RepairPlan:
+    """Compile the paper's repair schedule of `node` with `erased` (sorted) lost too; cached by value.
 
-    `node` None compiles encode: every parity symbol from the data.  A
-    schedule that would read a symbol of an erased node escalates to the
+    A schedule that would read a symbol of an erased node escalates to the
     decode plan of the erased nodes plus the target, whose matrix is None
     (replay raises UnrecoverableErasureError) exactly when the class-A
     part of that pattern is not decodable.
     """
-    session = _Session(code, set(erased), independent=node is None or node >= code.k)
+    session = _Session(code, set(erased), independent=node >= code.k)
     try:
-        if node is None:
-            for c in range(code.k, code.n):
-                session.parity_node(c)
-        elif node < code.k:
+        if node < code.k:
             session.data_node(node)
         else:
             session.parity_node(node)
     except _ReadsErased:
         return _escalate(code, node, erased)
-    return session.plan(traced=node is not None)
+    return session.plan()
 
 
 def _check_array(array: CodeArray, spec: CodeSpec) -> None:

@@ -278,7 +278,7 @@ READ_COUNTS = {
 
 
 # SHA-256 over every plan of _small_patterns, in order (_plan_bytes):
-# pins the reads, coefficients, dtype, rank, needed and nodes of each
+# pins the reads, coefficients, dtype, rank, needed and pattern of each
 PLAN_DIGESTS = {
     (2, 3): "6ae8ba0e4b0fd050620564669e3226106dd6fc0a6bba357aa1305b7a2070d499",
     (3, 2): "a1f30dd47729d6c3cb77e4e58bb992d28700e57dbf00c14bd0006f3738b2cc69",
@@ -289,9 +289,9 @@ PLAN_DIGESTS = {
 }
 
 
-def _plan_bytes(plan) -> bytes:
-    """Everything a decode plan is compiled to, as bytes."""
-    head = repr((plan.reads, plan.rank, plan.needed, plan.nodes))
+def _plan_bytes(plan, pattern) -> bytes:
+    """Everything the decode plan of `pattern` is compiled to, as bytes."""
+    head = repr((plan.reads, plan.rank, plan.needed, pattern))
     if plan.matrix is None:
         return (head + " None").encode()
     return (head + repr((plan.matrix.dtype.str, plan.matrix.shape))).encode() + plan.matrix.tobytes()
@@ -316,7 +316,7 @@ def test_every_decode_plan(field):
     digest = hashlib.sha256()
     for pattern in _small_patterns(code):
         plan = decode_plan(code, pattern)
-        digest.update(_plan_bytes(plan))
+        digest.update(_plan_bytes(plan, pattern))
         part = tuple(x for x in pattern if x < code.n_a)  # sum parities never help decode
         if part not in decodable_parts:
             decodable_parts[part] = ml_decodable(code.class_a, part)
@@ -325,7 +325,7 @@ def test_every_decode_plan(field):
         if decodable:
             reads = np.array([nodes[c][i] for c, i in plan.reads]).reshape(-1, code.k**2)
             got = matmul(code.field, plan.matrix, reads)
-            assert (got == np.concatenate([nodes[c] for c in plan.nodes])).all(), pattern
+            assert (got == np.concatenate([nodes[c] for c in pattern])).all(), pattern
         bucket = counts.setdefault((field, len(pattern)), {})
         bucket[len(plan.reads)] = bucket.get(len(plan.reads), 0) + 1
         failed = [x for x in pattern if x < code.k]

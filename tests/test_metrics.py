@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from pbdss.class_a import _interned
+from pbdss.class_a import _interned, decode_plan
 from pbdss.gf import FieldSpec
 from pbdss.layout import DataArray
 from pbdss.metrics import (
@@ -81,16 +81,20 @@ def test_construction2_encode_within_bound():
 
 
 def test_encode_counts_data_independent(spec_10_5):
-    """encode replays one plan compiled from the spec alone, on zero and on
-    random data, and the measured encode figure is that plan's totals."""
+    """encode replays one plan compiled from the spec alone (the decode of
+    every parity node), on zero and on random data, and the measured
+    encode figure is the totals of the parity-node repair plans."""
     spec, k = spec_10_5, spec_10_5.k
-    plan = repair_plan(_interned(spec), None, ())
+    plan = decode_plan(_interned(spec), tuple(range(k, spec.n)))
     for data in (DataArray.zeros(spec.field, k), DataArray.random(spec.field, k, random.Random(3))):
         parities = encode(spec, data).symbols[:, k:]
         assert np.array_equal(parities, replay(plan, data.symbols).reshape(spec.n - k, k).T)
-        assert repair_plan(_interned(spec), None, ()) is plan
-    assert (plan.adds, plan.muls) == (sum(s.adds for s in plan.stages), sum(s.muls for s in plan.stages))
-    assert measured_complexity(spec)["encode_bit_ops_total"] == OpCounter(plan.adds, plan.muls).bit_ops(spec.field.bits)
+        assert decode_plan(_interned(spec), tuple(range(k, spec.n))) is plan
+    parity_plans = [repair_plan(_interned(spec), c, ()) for c in range(k, spec.n)]
+    for p in parity_plans:
+        assert (p.adds, p.muls) == (sum(s.adds for s in p.stages), sum(s.muls for s in p.stages))
+    assert measured_complexity(spec)["encode_bit_ops_total"] == sum(
+        OpCounter(p.adds, p.muls).bit_ops(spec.field.bits) for p in parity_plans)
 
 
 def test_measured_lambda_examples(spec_10_5, spec_7_4_h):

@@ -1,13 +1,14 @@
 """Compiled single-node repair and encode plans, and the executor that replays them.
 
-A plan is checked against the data it must restore under random erasure
+Encode replays the decode plan of every parity node (_encode_plan).  A
+plan is checked against the data it must restore under random erasure
 masks (oracle.ml_decodable decides which patterns must raise), stage by
 stage against scalar FieldSpec arithmetic, at L = 4096 and L = 65,536
-lanes against L = 1, against the generator, and through its bounded
-cache.  Its compiled terms must rebuild its matrix, replay must handle
-hand-built edge plans and any array layout, and the read trace each
-execute returns must be the plan's own immutable copy of the one the
-session logged while it was compiled.
+lanes against L = 1, against the generator and the paper's closed
+forms, and through its bounded cache.  Its compiled terms must rebuild
+its matrix, replay must handle hand-built edge plans and any array
+layout, and the read trace each execute returns must be the plan's own
+immutable copy of the one the session logged while it was compiled.
 """
 
 import dataclasses
@@ -34,7 +35,7 @@ from pbdss.class_a import (
 from pbdss.class_b import construct1_parities, construct2_parities
 from pbdss.gf import FieldSpec
 from pbdss.layout import CodeArray, DataArray
-from pbdss.metrics import measured_complexity, measured_lambda
+from pbdss.metrics import formula_bundle, measured_complexity, measured_lambda
 from pbdss.oracle import ml_decodable
 from pbdss.plan import ReadTrace, RepairPlan, execute, replay
 from pbdss.repair import (
@@ -51,6 +52,11 @@ from pbdss.repair import (
 def _repair(array, node, code):
     fn = repair_data_node if node < code.k else repair_parity_node
     return fn(array, node, code)
+
+
+def _encode_plan(code):
+    """The plan encode replays: the decode of every parity node."""
+    return decode_plan(_interned(code), tuple(range(code.k, code.n)))
 
 
 def _masked(code, stored, lost, rng):
@@ -178,15 +184,14 @@ def test_stage_replay_equals_composed_matrix():
         k, n, f = code.k, code.n, code.field
         stripes = [encode(code, DataArray.random(f, k, rng)).rows for _ in range(20)]
         block = np.array(stripes, dtype=np.int64).transpose(1, 2, 0)  # (k, n, 20)
-        for node in [None, *range(n)]:
+        for node in range(n):
             plan = repair_plan(_interned(code), node, ())
             composed = replay(plan, block)
             for lane, rows in enumerate(stripes):
                 assert _scalar_replay(f, plan, rows) == composed[:, lane].tolist(), (code, node, lane)
-            if node is not None:
-                assert (composed == block[:, node]).all(), (code, node)
+            assert (composed == block[:, node]).all(), (code, node)
             checked += 1
-    assert len(codes) == 54 and checked == sum(code.n + 1 for code in codes)
+    assert len(codes) == 54 and checked == sum(code.n for code in codes)
 
 
 STRIPE_SHAPES = [  # (k, n_a, n_b, tau, construction, (p, m))
@@ -211,7 +216,7 @@ def test_lanes_equal_single_lane_replays(shape):
     k, n, q, lanes = code.k, code.n, code.field.q, 4096
     rng = np.random.default_rng(q * k)
     data = rng.integers(0, q, size=(k, k, lanes), dtype=np.uint8)
-    parities = replay(repair_plan(_interned(code), None, ()), data)
+    parities = replay(_encode_plan(code), data)
     stored = np.concatenate([data, parities.reshape(n - k, k, lanes).transpose(1, 0, 2)], axis=1)
     picks = [0, 1, lanes - 1, *rng.integers(0, lanes, size=5).tolist()]
     for lane in picks:
@@ -234,7 +239,7 @@ def test_64k_lanes_equal_single_lane_replays(shape):
     k, n, q, lanes = code.k, code.n, code.field.q, 1 << 16
     rng = np.random.default_rng(q * k + 1)
     data = rng.integers(0, q, size=(k, k, lanes), dtype=np.uint8)
-    parities = replay(repair_plan(code, None, ()), data)
+    parities = replay(_encode_plan(code), data)
     assert parities.shape == ((n - k) * k, lanes) and parities.dtype == np.uint8
     stored = np.concatenate([data, parities.reshape(n - k, k, lanes).transpose(1, 0, 2)], axis=1)
     picks = [0, lanes - 1, *rng.integers(0, lanes, size=6).tolist()]
@@ -254,7 +259,7 @@ def test_encode_replay_memory_stays_bounded():
     data) allocates well under 64 MiB: its temporaries are one block of
     lanes, never one int64 per term and lane."""
     code = _stripe_code(STRIPE_SHAPES[-1])
-    plan = repair_plan(code, None, ())
+    plan = _encode_plan(code)
     data = np.random.default_rng(5).integers(0, 256, size=(10, 10, 1 << 16), dtype=np.uint8)
     tracemalloc.start()
     try:
@@ -289,8 +294,8 @@ def test_terms_rebuild_every_matrix(spec_10_5):
     checked = 0
     for shape in STRIPE_SHAPES:
         code = _stripe_code(shape)
-        for node in [None, *range(code.n)]:
-            _check_terms(repair_plan(code, node, ()))
+        for plan in [_encode_plan(code), *(repair_plan(code, node, ()) for node in range(code.n))]:
+            _check_terms(plan)
             checked += 1
     code = _interned(spec_10_5)
     undecodable = 0
@@ -341,7 +346,7 @@ def _session_walk(plan, data_node: bool) -> ReadTrace:
     """The trace a session logs while it runs the plan's stages: each
     uncached source is read once; in a data-node session each repaired
     symbol joins the cache and counts the reads it issued, in a parity
-    session (or encode) each symbol counts every term it takes."""
+    session each symbol counts every term it takes."""
     walk = ReadTrace()
     for st in plan.stages:
         issued = sum(walk.read(*pos) for pos in st.sources)
@@ -413,7 +418,7 @@ def test_measured_figures_equal_executed_repairs():
     no data.  Every data-node and parity-node repair of the six stripe
     shapes, over two random arrays, returns its plan's trace, which for a
     data node is measured_lambda's; the bit-op figures are the sums of the
-    plans' stage counts."""
+    plans' stage counts, encode's over the parity-node plans."""
     for shape in STRIPE_SHAPES:
         code = _stripe_code(shape)
         nu = code.field.bits
@@ -434,7 +439,7 @@ def test_measured_figures_equal_executed_repairs():
 
         meas = measured_complexity(code)
         assert meas["repair_bit_ops_per_node"] == [bit_ops(p) for p in plans[: code.k]], shape
-        assert meas["encode_bit_ops_total"] == bit_ops(repair_plan(code, None, ())), shape
+        assert meas["encode_bit_ops_total"] == sum(bit_ops(p) for p in plans[code.k :]), shape
 
 
 def test_execute_returns_independent_traces(spec_10_5):
@@ -454,7 +459,7 @@ def test_execute_returns_independent_traces(spec_10_5):
         back = pickle.loads(pickle.dumps(first))  # frozen again, with equal parts
         _assert_immutable(back, node)
         assert back == pristine and back.to_json() == first.to_json(), (node, erased)
-    assert repair_plan(code, None, ()).trace is None
+    assert _encode_plan(code).trace is None
     bare = CodeSpec(code.field, code.class_a, construct1_parities(code.k, code.n_a, code.k, code.tau))
     for erased in ((0,), (0, 1), (5, 7), (0, 1, 2)):  # (0, 1, 2) is undecodable
         assert decode_plan(code, erased).trace is None
@@ -507,9 +512,10 @@ def test_replay_over_any_layout(spec_10_5):
     code = _interned(spec_10_5)
     k, n, lanes = code.k, code.n, 6
     repair_plan.cache_clear()  # fresh plans: no widths seen by other tests
+    decode_plan.cache_clear()
     rng = np.random.default_rng(13)
     data = rng.integers(0, code.field.q, size=(k, k, lanes), dtype=np.uint16)
-    encode_plan = repair_plan(code, None, ())
+    encode_plan = _encode_plan(code)
     parities = replay(encode_plan, data)
     stored = np.concatenate([data, parities.reshape(n - k, k, lanes).transpose(1, 0, 2)], axis=1)
     wide = np.zeros((k, n, 2 * lanes), dtype=np.uint16)
@@ -540,13 +546,53 @@ def test_replay_over_any_layout(spec_10_5):
 
 
 def test_encode_plan_is_the_generator(spec_10_5, spec_7_4_h):
+    """The encode plan is the generator's parity block over the data, and
+    each parity-node repair plan, which the session builds term by term
+    from alpha, the piggyback rule and the sum parities, is the same
+    node's rows of the generator."""
     for code in (spec_10_5, spec_7_4_h):
         k = code.k
-        plan = repair_plan(_interned(code), None, ())
+        plan = _encode_plan(code)
         gen = _generator(_interned(code))
         want = [[int(gen[c, i, j, r]) for j, r in plan.reads] for c in range(k, code.n) for i in range(k)]
         assert plan.matrix.tolist() == want
         assert sorted(plan.reads) == [(j, r) for j in range(k) for r in range(k)]
+        for c in range(k, code.n):
+            node_plan = repair_plan(_interned(code), c, ())
+            assert all(j < k for j, _ in node_plan.reads), c
+            want = [[int(gen[c, i, j, r]) for j, r in node_plan.reads] for i in range(k)]
+            assert node_plan.matrix.tolist() == want, c
+
+
+def test_encode_compiles_no_single_node_schedule():
+    """Encode on each stripe shape compiles no repair_plan entry, and its
+    parity columns are the parity-node repairs' columns."""
+    for shape in STRIPE_SHAPES:
+        code = _stripe_code(shape)
+        repair_plan.cache_clear()
+        stored = encode(code, DataArray.random(code.field, code.k, random.Random(code.n)))
+        assert repair_plan.cache_info().currsize == 0, shape
+        columns = [repair_parity_node(stored, c, code)[0] for c in range(code.k, code.n)]
+        assert stored.symbols[:, code.k :].T.tolist() == columns, shape
+
+
+@pytest.mark.parametrize("construction", [1, 2])
+def test_parity_plans_meet_the_closed_forms(construction):
+    """Per symbol, averaged over the class-A and over the class-B parity
+    nodes, the bit-ops of the parity-node repair plans and the reads of
+    their traces are the paper's parity_repair_ops_a/b and
+    parity_lambda_a/b, on the six stripe shapes and (13,8)."""
+    shapes = [(k, n_a, n_b, tau, field) for k, n_a, n_b, tau, _, field in STRIPE_SHAPES] + [(8, 12, 9, 3, (13, 1))]
+    for k, n_a, n_b, tau, field in shapes:
+        code = _interned(CodeSpec.build(k, n_a, n_b, tau, construction=construction, field=FieldSpec(*field)))
+        report, nu = formula_bundle(code.n, k, n_a, tau, code.field), code.field.bits
+        for nodes, ops, lam in ((range(k, n_a), report.parity_repair_ops_a, report.parity_lambda_a),
+                                (range(n_a, code.n), report.parity_repair_ops_b, report.parity_lambda_b)):
+            plans = [repair_plan(code, c, ()) for c in nodes]
+            symbols = k * len(plans)
+            reads = sum(sum(p.trace.per_symbol.values()) for p in plans)
+            bits = sum(p.adds * nu + p.muls * nu * nu for p in plans)
+            assert (bits / symbols, reads / symbols) == (ops, lam), (construction, k, n_a, n_b, tau, nodes)
 
 
 # -- plan cache and spec hashing -------------------------------------------------
